@@ -24,6 +24,7 @@ from pathlib import Path
 from repro.analysis import analyze, format_analysis
 from repro.config import GPUConfig
 from repro.core.sharing import SharedResource
+from repro.harness.engine import engine_arg_parser, engine_kwargs
 from repro.harness.runner import shared, unshared
 from repro.isa.assembler import assemble, disassemble
 from repro.isa.kernel import Kernel
@@ -59,32 +60,22 @@ def main(argv: list[str] | None = None) -> int:
                    help="run under cProfile and print the top-20 "
                         "functions by cumulative time to stderr")
     sub = p.add_subparsers(dest="cmd", required=True)
+    engine_flags = engine_arg_parser()
 
     pa = sub.add_parser("analyze", help="static kernel profile")
     pa.add_argument("kernel")
     pa.add_argument("-t", type=float, default=0.1,
                     help="sharing threshold (default 0.1)")
 
-    pr = sub.add_parser("run", help="simulate one app/kernel")
+    pr = sub.add_parser("run", help="simulate one app/kernel",
+                        parents=[engine_flags])
     pr.add_argument("kernel")
     pr.add_argument("--mode", choices=sorted(_MODES), default="lrr")
     pr.add_argument("--clusters", type=int, default=4)
     pr.add_argument("--scale", type=float, default=1.0)
     pr.add_argument("--waves", type=float, default=6.0)
-    pr.add_argument("--jobs", type=int, default=None,
-                    help="engine worker processes (single runs stay "
-                         "in-process; the flag mirrors the harness CLI)")
-    pr.add_argument("--cache-dir", default=None,
-                    help="result-cache directory (default: "
-                         "$REPRO_CACHE_DIR or ~/.cache/repro)")
-    pr.add_argument("--no-cache", action="store_true",
-                    help="disable the on-disk result cache")
     pr.add_argument("--max-cycles", type=int, default=2_000_000,
                     help="simulation cycle limit (default 2,000,000)")
-    pr.add_argument("--timeout", type=float, default=None,
-                    help="wall-clock budget in seconds for the run")
-    pr.add_argument("--retries", type=int, default=None,
-                    help="max attempts for transient failures (default 3)")
     pr.add_argument("--fail-fast", action="store_true",
                     help="re-raise failures instead of reporting them")
     pr.add_argument("--sanitize", action="store_true",
@@ -101,23 +92,14 @@ def main(argv: list[str] | None = None) -> int:
                     help="emit the full RunResult payload as JSON on "
                          "stdout (same envelope the service returns)")
 
-    ps = sub.add_parser("serve", help="run the simulation job service")
+    ps = sub.add_parser("serve", help="run the simulation job service",
+                        parents=[engine_flags])
     ps.add_argument("--host", default="127.0.0.1")
     ps.add_argument("--port", type=int, default=8070,
                     help="listen port (0 = ephemeral; default 8070)")
     ps.add_argument("--db", default="repro-jobs.sqlite",
                     help="SQLite job-store path (default "
                          "./repro-jobs.sqlite)")
-    ps.add_argument("--jobs", type=int, default=None,
-                    help="engine worker processes")
-    ps.add_argument("--cache-dir", default=None,
-                    help="result-cache directory")
-    ps.add_argument("--no-cache", action="store_true",
-                    help="disable the on-disk result cache")
-    ps.add_argument("--timeout", type=float, default=None,
-                    help="per-run wall-clock budget in seconds")
-    ps.add_argument("--retries", type=int, default=None,
-                    help="max attempts for transient failures")
     ps.add_argument("--batch-max", type=int, default=16,
                     help="max jobs coalesced into one engine batch")
     ps.add_argument("--batch-wait", type=float, default=0.05,
@@ -250,16 +232,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.harness.engine import Engine, RunSpec
-    from repro.harness.resilience import RetryPolicy, RunFailure
+    from repro.harness.resilience import RunFailure
     from repro.service.serialize import failure_payload, result_payload
     target = APPS.get(args.kernel) or _load_kernel(args.kernel)
     cfg = GPUConfig().scaled(num_clusters=args.clusters)
     mode = _MODES[args.mode]()
-    retry = RetryPolicy(max_attempts=max(1, args.retries)) \
-        if args.retries is not None else None
-    engine = Engine(jobs=args.jobs, cache=not args.no_cache,
-                    cache_dir=args.cache_dir, timeout=args.timeout,
-                    retry=retry, fail_fast=args.fail_fast,
+    engine = Engine(**engine_kwargs(args), fail_fast=args.fail_fast,
                     sanitize=args.sanitize or None)
     spec = RunSpec.create(target, mode, config=cfg,
                           scale=args.scale, waves=args.waves,
@@ -306,7 +284,6 @@ def _print_result_summary(res, where: str, cached: bool) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.harness.resilience import RetryPolicy
     from repro.service import ServiceConfig, ServiceServer
     cfg = ServiceConfig(
         host=args.host, port=args.port, db_path=args.db,
@@ -314,14 +291,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.max_queue,
         max_queued_bytes=args.max_queued_bytes,
         rate_limit=args.rate_limit, rate_burst=args.rate_burst)
-    engine_opts: dict = {"jobs": args.jobs,
-                         "cache": not args.no_cache,
-                         "cache_dir": args.cache_dir,
-                         "timeout": args.timeout}
-    if args.retries is not None:
-        engine_opts["retry"] = RetryPolicy(
-            max_attempts=max(1, args.retries))
-    server = ServiceServer(cfg, engine_opts=engine_opts)
+    server = ServiceServer(cfg, engine_opts=engine_kwargs(args))
     print(f"repro service: db={cfg.db_path} "
           f"batch_max={cfg.batch_max} max_queue={cfg.max_queue_depth}"
           + (f" (recovered {server.recovered} stranded jobs)"

@@ -126,6 +126,8 @@ class GPUConfig:
                 raise ValueError(f"{what} size not divisible by assoc*line")
         if self.num_mem_partitions < 1 or self.banks_per_partition < 1:
             raise ValueError("need at least one DRAM partition and bank")
+        if self.fetch_group_size < 1:
+            raise ValueError("fetch_group_size must be >= 1")
 
     @property
     def num_sms(self) -> int:

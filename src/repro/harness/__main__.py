@@ -20,16 +20,16 @@ import sys
 import time
 
 from repro.config import GPUConfig
-from repro.harness.engine import Engine
+from repro.harness.engine import Engine, engine_arg_parser, engine_kwargs
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.report import bar_chart, render_experiment
-from repro.harness.resilience import RetryPolicy
 
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(
         prog="python -m repro.harness",
-        description="Reproduce a paper table/figure.")
+        description="Reproduce a paper table/figure.",
+        parents=[engine_arg_parser()])
     p.add_argument("experiment",
                    help=f"experiment id or 'all' ({', '.join(sorted(EXPERIMENTS))})")
     p.add_argument("--clusters", type=int, default=4,
@@ -41,21 +41,8 @@ def main(argv: list[str] | None = None) -> int:
                         "end-of-grid tail effects)")
     p.add_argument("--chart", metavar="COLUMN", default=None,
                    help="also render an ASCII bar chart of COLUMN")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="simulation worker processes (default: "
-                        "$REPRO_JOBS or CPU count; 1 = in-process)")
-    p.add_argument("--cache-dir", default=None,
-                   help="result-cache directory (default: $REPRO_CACHE_DIR "
-                        "or ~/.cache/repro)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the on-disk result cache")
     p.add_argument("--max-cycles", type=int, default=None,
                    help="override the per-run simulation cycle limit")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-run wall-clock budget in seconds (hung "
-                        "workers are killed and recorded as timeouts)")
-    p.add_argument("--retries", type=int, default=None,
-                   help="max attempts for transient failures (default 3)")
     p.add_argument("--fail-fast", action="store_true",
                    help="abort on the first failure instead of isolating "
                         "it into an annotated FAIL cell")
@@ -85,11 +72,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     cfg = GPUConfig().scaled(num_clusters=args.clusters)
-    retry = RetryPolicy(max_attempts=max(1, args.retries)) \
-        if args.retries is not None else None
-    engine = Engine(jobs=args.jobs, cache=not args.no_cache,
-                    cache_dir=args.cache_dir, timeout=args.timeout,
-                    retry=retry, fail_fast=args.fail_fast,
+    engine = Engine(**engine_kwargs(args), fail_fast=args.fail_fast,
                     sanitize=args.sanitize or None,
                     max_cycles=args.max_cycles,
                     metrics=args.metrics, trace_dir=args.trace)

@@ -45,6 +45,7 @@ default-on).  See docs/engine.md and docs/resilience.md.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -71,7 +72,7 @@ from repro.workloads.apps import APPS, App
 
 __all__ = ["RunSpec", "Engine", "EngineStats", "RunEvent", "ResultCache",
            "RunFailure", "RetryPolicy", "kernel_fingerprint", "code_salt",
-           "default_engine"]
+           "default_engine", "engine_arg_parser", "engine_kwargs"]
 
 #: Bump when the cache entry layout changes (independent of code salt).
 CACHE_SCHEMA = 1
@@ -81,7 +82,7 @@ CACHE_SCHEMA = 1
 #: ``obs`` is included not because observation may change results (it
 #: must not) but because metrics/trace payloads cached alongside results
 #: must be invalidated when their schema evolves.
-_SALT_SOURCES = ("config.py", "core", "isa", "mem", "obs", "sched", "sim",
+_SALT_SOURCES = ("config.py", "core", "isa", "mem", "obs", "sched.py", "sim",
                  "workloads", "harness/runner.py")
 
 
@@ -914,3 +915,32 @@ def default_engine() -> Engine:
     if _DEFAULT_ENGINE is None:
         _DEFAULT_ENGINE = Engine()
     return _DEFAULT_ENGINE
+
+
+def engine_arg_parser() -> argparse.ArgumentParser:
+    """Argparse parent with the engine flags every simulating verb shares
+    (``repro run``, ``repro serve``, ``python -m repro.harness``)."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--jobs", type=int, default=None,
+                   help="simulation worker processes (default: "
+                        "$REPRO_JOBS or CPU count; 1 = in-process)")
+    p.add_argument("--cache-dir", default=None,
+                   help="result-cache directory (default: $REPRO_CACHE_DIR "
+                        "or ~/.cache/repro)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="disable the on-disk result cache")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="per-run wall-clock budget in seconds (hung "
+                        "workers are killed and recorded as timeouts)")
+    p.add_argument("--retries", type=int, default=None,
+                   help="max attempts for transient failures (default 3)")
+    return p
+
+
+def engine_kwargs(args: argparse.Namespace) -> dict:
+    """:class:`Engine` keyword arguments from :func:`engine_arg_parser`
+    flags."""
+    return {"jobs": args.jobs, "cache": not args.no_cache,
+            "cache_dir": args.cache_dir, "timeout": args.timeout,
+            "retry": (RetryPolicy(max_attempts=max(1, args.retries))
+                      if args.retries is not None else None)}

@@ -30,6 +30,7 @@ from repro.config import GPUConfig
 from repro.core.sharing import SharedResource
 from repro.harness.experiments import run_experiment
 from repro.harness.runner import Mode, run, shared, unshared
+from repro.sched import SCHEDULERS
 from repro.workloads.apps import APPS
 
 __all__ = ["GOLDEN_EXPERIMENTS", "collect", "check_goldens", "golden_path",
@@ -56,7 +57,7 @@ CORE_APPS: dict[str, float] = {
 }
 _REG_APPS = ("MUM", "hotspot", "BFS")
 _SPAD_APPS = ("SRAD1", "CONV1")
-_SCHEDS = ("lrr", "gto", "two_level", "owf")
+_SCHEDS = tuple(SCHEDULERS)
 
 
 def core_config() -> GPUConfig:

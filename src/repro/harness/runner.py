@@ -22,6 +22,7 @@ from repro.core.sharing import SharedResource, SharingSpec, plan_sharing
 from repro.core.unroll import reorder_registers
 from repro.isa.kernel import Kernel
 from repro.obs.sink import NULL_SINK, ObsSink
+from repro.sched import SCHEDULERS, policy_id
 from repro.sim.gpu import GPU
 from repro.sim.stats import RunResult
 from repro.workloads.apps import App
@@ -44,6 +45,7 @@ class Mode:
     early_release: bool = False
 
     def __post_init__(self) -> None:
+        policy_id(self.scheduler)  # rejects unknown scheduler names
         if self.dyn and self.sharing is not SharedResource.REGISTERS:
             raise ValueError("Dyn requires register sharing (Sec. IV-C)")
         if self.unroll and self.sharing is None:
@@ -52,12 +54,9 @@ class Mode:
             raise ValueError("early release targets register sharing")
 
 
-_SCHED_TAG = {"lrr": "LRR", "gto": "GTO", "two_level": "2LV", "owf": "OWF"}
-
-
 def unshared(scheduler: str = "lrr") -> Mode:
     """Baseline mode: no sharing, given scheduler."""
-    return Mode(label=f"Unshared-{_SCHED_TAG[scheduler]}",
+    return Mode(label=f"Unshared-{SCHEDULERS[scheduler]}",
                 scheduler=scheduler)
 
 
@@ -65,7 +64,7 @@ def shared(resource: SharedResource, scheduler: str = "lrr", *,
            t: float = 0.1, unroll: bool = False, dyn: bool = False,
            early_release: bool = False) -> Mode:
     """Sharing mode with the paper's label convention."""
-    tag = _SCHED_TAG[scheduler]
+    tag = SCHEDULERS[scheduler]
     label = f"Shared-{tag}"
     if unroll:
         label += "-Unroll"

@@ -3,11 +3,12 @@
 Two interchangeable cores run the same machine model (see
 docs/performance.md):
 
-* the **fast core** (default) — event-driven ready sets: SMs whose
-  ready sets are empty are not stepped, scheduler picks skip predicate
-  calls while the LD/ST port is free, MSHR-rejected accesses replay in
-  O(1), and when no SM can issue the clock jumps to the next event in
-  one step while charging the skipped span to the same cycle taxonomy;
+* the **fast core** (default) — event-driven READY counters: SMs with
+  no READY warp are not stepped, the four scheduling policies run
+  inline over each scheduler's static partition, MSHR-rejected accesses
+  replay in O(1), and when no SM can issue the clock jumps to the next
+  event in one step while charging the skipped span to the same cycle
+  taxonomy;
 * the **reference core** (``core="reference"`` or the
   ``REPRO_REFERENCE_CORE=1`` environment variable) — the original
   scan-every-warp loop, kept as the differential-testing oracle.
@@ -52,9 +53,9 @@ class GPU:
     completion.
 
     ``plan`` selects resource sharing (None → baseline, all blocks
-    unshared); ``scheduler`` is one of ``lrr``/``gto``/``two_level``/
-    ``owf``; ``dyn`` enables the Sec. IV-C dynamic warp execution
-    controller (only meaningful with register sharing); ``core`` picks
+    unshared); ``scheduler`` is a key of :data:`repro.sched.SCHEDULERS`;
+    ``dyn`` enables the Sec. IV-C dynamic warp execution controller
+    (only meaningful with register sharing); ``core`` picks
     the simulator core (``"fast"`` or ``"reference"``; the
     ``REPRO_REFERENCE_CORE`` environment variable, when set to anything
     but ``0``/empty, forces the reference core).
@@ -171,13 +172,13 @@ class GPU:
             f"done)")
 
     def _run_fast(self, max_cycles: int) -> RunResult:
-        """Event-driven ready-set loop (cycle-exact vs the reference).
+        """Event-driven READY-counter loop (cycle-exact vs the reference).
 
-        Per cycle, only SMs whose ready sets are non-empty are stepped:
-        with empty ready lists every scheduler ``pick`` returns None, so
-        ``step`` could only have returned 0 without side effects — the
-        skip is exact.  Cycle accounting is unchanged (``classify`` is
-        O(1) on the fast core), so when no SM can issue and the clock
+        Per cycle, only SMs with a READY warp are stepped: with none,
+        no scheduler has a warp to issue, so ``step`` could only have
+        returned 0 without side effects — the skip is exact.  Cycle
+        accounting is unchanged (``classify`` is O(1) on the fast
+        core), so when no SM can issue and the clock
         jumps to the next event, the skipped span is charged per SM to
         the same class the intervening cycles would have received.
         """

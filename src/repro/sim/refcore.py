@@ -10,33 +10,177 @@ cores must produce bit-identical :class:`RunResult`\\ s on every
 configuration, which ``tests/test_core_equivalence.py`` asserts against
 committed golden fingerprints.
 
+The scheduling policies here are the original ``pick`` formulations over
+a per-partition READY list kept sorted by ``dynamic_id``
+(:class:`SortedWarpList`); the fast core evaluates the same policies
+inline over the static partition instead (``SMCore.step``).
+
 Do not optimise this module.  Its value is that it stays dumb.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from bisect import bisect_left, bisect_right
+from typing import Callable, Iterator, Optional
 
 from repro.core.sharing import SharedResource
 from repro.isa.opcodes import Op
 from repro.mem.request import coalesce_lines
-from repro.sched.base import WarpScheduler
+from repro.sched import SchedulerPartition
+from repro.sim.block import BlockContext
 from repro.sim.sm import (_BANK_CONFLICT, _DYN_COOLDOWN, _GROUP, _MSHR_RETRY,
                           _STALL_STATES, SMCore)
 from repro.sim.warp import REG_PENDING, WarpContext, WarpState
 
-__all__ = ["ReferenceSMCore"]
+__all__ = ["ReferenceSMCore", "RefPartition", "SortedWarpList", "PICKS"]
+
+#: Predicate the SM passes to ``pick``: may this warp issue this cycle
+#: (same-cycle structural constraints such as the single LD/ST port)?
+Issuable = Callable[[WarpContext], bool]
+
+
+class SortedWarpList:
+    """Warps kept sorted by ``dynamic_id`` with O(log n) add/remove."""
+
+    __slots__ = ("_ids", "_warps")
+
+    def __init__(self) -> None:
+        self._ids: list[int] = []
+        self._warps: list[WarpContext] = []
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[WarpContext]:
+        return iter(self._warps)
+
+    def __contains__(self, warp: WarpContext) -> bool:
+        i = bisect_left(self._ids, warp.dynamic_id)
+        return i < len(self._ids) and self._ids[i] == warp.dynamic_id
+
+    def add(self, warp: WarpContext) -> None:
+        """Insert ``warp`` (ids are unique per SM; double-add is a bug)."""
+        i = bisect_left(self._ids, warp.dynamic_id)
+        if i < len(self._ids) and self._ids[i] == warp.dynamic_id:
+            raise ValueError("warp already in ready list")
+        self._ids.insert(i, warp.dynamic_id)
+        self._warps.insert(i, warp)
+
+    def discard(self, warp: WarpContext) -> None:
+        """Remove ``warp`` if present."""
+        i = bisect_left(self._ids, warp.dynamic_id)
+        if i < len(self._ids) and self._ids[i] == warp.dynamic_id:
+            del self._ids[i]
+            del self._warps[i]
+
+    def iter_round_robin(self, after_id: int) -> Iterator[WarpContext]:
+        """Iterate all warps starting just after ``after_id``, wrapping."""
+        i = bisect_right(self._ids, after_id)
+        yield from self._warps[i:]
+        yield from self._warps[:i]
+
+
+class RefPartition(SchedulerPartition):
+    """A scheduler partition plus the sorted READY list ``pick`` reads."""
+
+    __slots__ = ("ready",)
+
+    def __init__(self, sched_id: int, group_size: int) -> None:
+        super().__init__(sched_id, group_size)
+        self.ready = SortedWarpList()
+
+    def on_issued(self, warp: WarpContext) -> None:
+        """Issue bookkeeping; each policy reads only its own fields."""
+        self.last = warp
+        self._after = warp.dynamic_id
+        self._active_group = warp.dynamic_id // self.group_size
+
+
+def pick_lrr(s: RefPartition, issuable: Issuable) -> Optional[WarpContext]:
+    """Loose round robin: first issuable warp after the last issued id."""
+    for w in s.ready.iter_round_robin(s._after):
+        if issuable(w):
+            return w
+    return None
+
+
+def pick_gto(s: RefPartition, issuable: Issuable) -> Optional[WarpContext]:
+    """Greedy-then-oldest: the last warp while it can issue, else oldest."""
+    last = s.last
+    if (last is not None and last.state is WarpState.READY
+            and last in s.ready and issuable(last)):
+        return last
+    for w in s.ready:  # sorted by dynamic id == age
+        if issuable(w):
+            return w
+    return None
+
+
+def pick_two_level(s: RefPartition,
+                   issuable: Issuable) -> Optional[WarpContext]:
+    """Fetch-group round robin, switching group when the active stalls."""
+    ready = s.ready
+    if not len(ready):
+        return None
+    # Pass 1: round-robin inside the active group.
+    for w in ready.iter_round_robin(s._after):
+        if w.dynamic_id // s.group_size == s._active_group and issuable(w):
+            return w
+    # Pass 2: switch to the first other group with an issuable warp
+    # (ordered by id, i.e. group age).
+    for w in ready:
+        if w.dynamic_id // s.group_size != s._active_group and issuable(w):
+            s._active_group = w.dynamic_id // s.group_size
+            return w
+    return None
+
+
+def pick_owf(s: RefPartition, issuable: Issuable) -> Optional[WarpContext]:
+    """Owner > unshared > non-owner; greedy-then-oldest within a class.
+
+    Class membership is evaluated at pick time (ownership moves when
+    locks are acquired or a partner block completes).
+    """
+    best: Optional[WarpContext] = None
+    best_cls = 3
+    for w in s.ready:  # id order => first hit per class is the oldest
+        cls = w.owf_class()
+        if cls < best_cls and issuable(w):
+            best = w
+            best_cls = cls
+            if cls == 0:
+                break
+    if best is None:
+        return None
+    last = s.last
+    if (last is not None and last is not best
+            and last.state is WarpState.READY and last in s.ready
+            and last.owf_class() == best_cls and issuable(last)):
+        return last  # greedy stickiness within the winning class
+    return best
+
+
+#: The original policies, in ``repro.sched.SCHEDULERS`` (policy id) order.
+PICKS = (pick_lrr, pick_gto, pick_two_level, pick_owf)
 
 
 class ReferenceSMCore(SMCore):
     """SM core with the original (unoptimised) issue and scan logic."""
 
+    _partition = RefPartition
+
+    def launch_block(self, block: BlockContext, cycle: int) -> None:
+        """Launch as the fast core does, then list every warp READY."""
+        super().launch_block(block, cycle)
+        for w in block.warps:
+            w.sched.ready.add(w)
+
     def _set_state(self, warp: WarpContext, state: WarpState) -> None:
         """Original transition: maintain the sorted ready lists.
 
         The reference ``pick`` implementations and :meth:`has_ready`
-        consume ``sched.ready``, which the fast core no longer updates
-        (it keeps only the ``n_ready`` counter); the per-category
+        consume ``sched.ready``, which only this core keeps (the fast
+        core keeps the ``n_ready`` counter instead); the per-category
         counters are likewise unused on this core.
         """
         old = warp.state
@@ -89,9 +233,10 @@ class ReferenceSMCore(SMCore):
         self.now = cycle
         self._mem_port_free = True
         issued = 0
+        pick = PICKS[self._pid]
         for sched in self.schedulers:
             while True:
-                w = sched.pick(cycle, self._issuable)
+                w = pick(sched, self._issuable)
                 if w is None:
                     break
                 if self._try_issue(w, cycle, sched):
@@ -113,7 +258,7 @@ class ReferenceSMCore(SMCore):
         return "idle" if saw_warp else "empty"
 
     def _try_issue(self, warp: WarpContext, cycle: int,
-                   sched: WarpScheduler) -> bool:
+                   sched: RefPartition) -> bool:
         ins = warp.current_instr
         grp = _GROUP[ins.op]
         block = warp.block

@@ -27,7 +27,7 @@ from repro.isa.opcodes import Op, op_group
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.request import AddressMap, coalesce_lines
 from repro.obs.sink import NULL_SINK, ObsSink
-from repro.sched.base import WarpScheduler, make_scheduler
+from repro.sched import SchedulerPartition, policy_id
 from repro.sim.block import BlockContext, SharePair
 from repro.sim.stats import SMStats
 from repro.sim.warp import REG_PENDING, WarpContext, WarpState
@@ -72,15 +72,6 @@ _BLOCK_RETRY = WarpState.BLOCK_RETRY
 _BLOCK_BAR = WarpState.BLOCK_BAR
 _BLOCK_MEM = WarpState.BLOCK_MEM
 
-#: Issue predicate used when the LD/ST port is taken: only non-memory
-#: instructions may still issue this cycle.
-_NON_MEM = (lambda w: not w.instr.uses_port)
-
-#: Scheduling policies the fast core evaluates inline in :meth:`SMCore.step`
-#: (over the static partition + READY states, no sorted-list upkeep).
-#: Anything else uses the generic ``pick`` protocol over ``sched.ready``.
-_PICK_IDS = {"lrr": 0, "gto": 1, "two_level": 2, "owf": 3}
-
 
 @dataclass(frozen=True)
 class SharingRuntime:
@@ -98,6 +89,9 @@ class SharingRuntime:
 
 class SMCore:
     """One streaming multiprocessor."""
+
+    #: Per-scheduler partition type (the reference core extends it).
+    _partition = SchedulerPartition
 
     def __init__(self, sm_id: int, kernel: Kernel, config: GPUConfig,
                  events: EventQueue, hierarchy: MemoryHierarchy,
@@ -127,16 +121,12 @@ class SMCore:
         #: pay one attribute read + branch, nothing more, when off.
         self.obs = obs
         self._obs_on = obs.enabled
-        self.schedulers: list[WarpScheduler] = [
-            make_scheduler(scheduler, i,
-                           fetch_group_size=config.fetch_group_size)
+        self.schedulers: list[SchedulerPartition] = [
+            self._partition(i, config.fetch_group_size)
             for i in range(config.num_schedulers)
         ]
-        #: Policy id for the fused issue loop in :meth:`step`; -1 falls
-        #: back to the generic ``pick`` protocol (externally registered
-        #: policies), which needs the sorted ready lists maintained.
-        self._pid = _PICK_IDS.get(scheduler, -1)
-        self._generic = self._pid < 0
+        #: Policy id (``repro.sched.SCHEDULERS`` order) for :meth:`step`.
+        self._pid = policy_id(scheduler)
         self.stats = SMStats(sm_id=sm_id)
         self.warps: list[WarpContext] = []
         self.resident_blocks = 0
@@ -170,8 +160,10 @@ class SMCore:
             self._next_warp_id += 1
             block.warps.append(w)
             self.warps.append(w)
-            w.sched = self.schedulers[w.dynamic_id % len(self.schedulers)]
-            w.sched.on_ready(w)
+            sched = self.schedulers[w.dynamic_id % len(self.schedulers)]
+            w.sched = sched
+            sched.warps.append(w)
+            sched.n_ready += 1
             if self._obs_on:
                 self.obs.warp_started(self.sm_id, w, cycle)
         self._cat_n[0] += block.n_warps
@@ -180,31 +172,20 @@ class SMCore:
         if self.resident_blocks > self.stats.max_resident_blocks:
             self.stats.max_resident_blocks = self.resident_blocks
 
-    def _sched_of(self, warp: WarpContext) -> WarpScheduler:
-        return warp.sched
-
     # ------------------------------------------------------------------
     # state transitions
     # ------------------------------------------------------------------
     def _set_state(self, warp: WarpContext, state: WarpState) -> None:
-        # Runs twice per state round-trip of every issue and retry.  The
-        # fast core only maintains the O(1) ``n_ready`` counter; the
-        # sorted ready lists are bypassed entirely (the fused ``step``
-        # evaluates the built-in policies over the static partition) —
-        # except for externally registered policies, whose ``pick``
-        # still consumes ``sched.ready``.
+        # Runs twice per state round-trip of every issue and retry, so
+        # it only maintains O(1) counters: the partition's ``n_ready``
+        # and the per-category ``_cat_n``.
         old = warp.state
         if old is state:
             return
-        sched = warp.sched
         if old is _READY:
-            sched.n_ready -= 1
-            if self._generic:
-                sched.ready.discard(warp)
+            warp.sched.n_ready -= 1
         elif state is _READY:
-            sched.n_ready += 1
-            if self._generic:
-                sched.ready.add(warp)
+            warp.sched.n_ready += 1
         c = self._cat_n
         c[_CAT[old]] -= 1
         c[_CAT[state]] += 1
@@ -273,23 +254,17 @@ class SMCore:
         """True if any scheduler has a READY warp."""
         return self._cat_n[0] > 0
 
-    def _issuable(self, warp: WarpContext) -> bool:
-        if warp.instr.uses_port:
-            return self._mem_port_free
-        return True
-
     def step(self, cycle: int) -> int:
         """Run one SM cycle; returns instructions issued (0..2).
 
-        The four built-in policies are evaluated inline over each
+        This is the fast core's only definition of the four policies
+        (see :mod:`repro.sched`).  Each is evaluated inline over the
         scheduler's static partition (``sched.warps``, ascending
-        ``dynamic_id``) instead of through ``pick`` over the sorted
-        ready list.  A linear scan filtered on ``state is READY``
-        visits exactly the ready warps in id order, so each inline
-        loop is the policy's definition with the container swapped —
-        pick-for-pick equivalence is asserted by the differential
-        golden suite against the reference core, which still runs the
-        original ``pick`` implementations.
+        ``dynamic_id``): a linear scan filtered on ``state is READY``
+        visits exactly the ready warps in id order.  Pick-for-pick
+        equivalence with the reference core's sorted-ready-list
+        ``pick`` implementations is asserted by the differential golden
+        suite.
         """
         self.now = cycle
         port_free = True
@@ -348,7 +323,7 @@ class SMCore:
                                     port_free or not c.instr.uses_port):
                                 w = c
                                 break
-                elif pid == 2:  # two-level: fetch-group round robin
+                else:  # two-level: fetch-group round robin
                     gs = sched.group_size
                     g = sched._active_group
                     after = sched._after
@@ -385,9 +360,6 @@ class SMCore:
                                     sched._active_group = (
                                         c.dynamic_id // gs)
                                     break
-                else:  # externally registered policy: generic protocol
-                    w = sched.pick(cycle,
-                                   None if port_free else _NON_MEM)
                 if w is None:
                     break
                 if self._try_issue(w, cycle, sched):
@@ -428,7 +400,7 @@ class SMCore:
         return False
 
     def _try_issue(self, warp: WarpContext, cycle: int,
-                   sched: WarpScheduler) -> bool:
+                   sched: SchedulerPartition) -> bool:
         ins = warp.instr
         grp = ins.group
         block = warp.block
@@ -573,20 +545,14 @@ class SMCore:
             stats.issued_unshared += 1
         else:
             stats.issued_nonowner += 1
-        # sched.on_issued(warp) inlined per policy (one call per issue);
-        # externally registered policies keep the virtual call.
+        # Per-policy issue bookkeeping (gto / owf only need ``last``).
+        sched.last = warp
         pid = self._pid
-        if pid == 1 or pid == 3:        # gto / owf: greedy stickiness
-            sched.last = warp
-        elif pid == 0:                  # lrr: rotate past this warp
-            sched.last = warp
+        if pid == 0:                    # lrr: rotate past this warp
             sched._after = warp.dynamic_id
         elif pid == 2:                  # two-level
-            sched.last = warp
             sched._after = warp.dynamic_id
             sched._active_group = warp.dynamic_id // sched.group_size
-        else:
-            sched.on_issued(warp)
 
         if grp == "exit":
             self._finish_warp(warp, cycle)

@@ -112,6 +112,42 @@ class TestHarnessCli:
         capsys.readouterr()
 
 
+class _EngineBuilt(Exception):
+    """Raised by the stand-ins below to stop a verb once it has the
+    engine settings."""
+
+
+class TestSharedEngineFlags:
+    @pytest.mark.parametrize("verb", ["run", "serve", "harness"])
+    def test_same_engine_settings_on_every_verb(self, verb, monkeypatch,
+                                                tmp_path):
+        import repro.service
+        from repro.harness.engine import Engine
+        from repro.harness.resilience import RetryPolicy
+        seen = {}
+
+        def capture(*_args, **kwargs):
+            seen.update(kwargs.get("engine_opts", kwargs))
+            raise _EngineBuilt
+
+        monkeypatch.setattr(Engine, "__init__", capture)
+        monkeypatch.setattr(repro.service, "ServiceServer", capture)
+        flags = ["--retries", "2", "--timeout", "5", "--no-cache"]
+        main, argv = {
+            "run": (repro_main, ["run", "gaussian", *flags]),
+            "serve": (repro_main, ["serve", "--db",
+                                   str(tmp_path / "jobs.sqlite"), *flags]),
+            "harness": (harness_main, ["fig8c", *flags]),
+        }[verb]
+        with pytest.raises(_EngineBuilt):
+            main(argv)
+        engine = {k: seen[k] for k in ("jobs", "cache", "cache_dir",
+                                       "timeout", "retry")}
+        assert engine == {"jobs": None, "cache": False, "cache_dir": None,
+                          "timeout": 5.0,
+                          "retry": RetryPolicy(max_attempts=2)}
+
+
 class TestTraceCli:
     def test_trace_timeline(self, capsys):
         assert repro_main(["trace", "gaussian", "--first", "8"]) == 0

@@ -1,5 +1,7 @@
 """GPUConfig / LatencyConfig / GDDRTimings validation and properties."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import GDDRTimings, GPUConfig, LatencyConfig, WARP_SIZE
@@ -65,6 +67,12 @@ class TestValidation:
     def test_zero_partitions_rejected(self):
         with pytest.raises(ValueError):
             GPUConfig(num_mem_partitions=0)
+
+    def test_group_size_validation(self):
+        with pytest.raises(ValueError, match="fetch_group_size"):
+            GPUConfig(fetch_group_size=0)
+        with pytest.raises(ValueError, match="fetch_group_size"):
+            dataclasses.replace(GPUConfig(), fetch_group_size=-1)
 
 
 class TestScaled:

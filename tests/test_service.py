@@ -150,11 +150,13 @@ class TestEndpoints:
             assert client._request("DELETE", "/jobs")[0] == 405
 
     def test_malformed_body_400(self, tmp_path):
+        d = spec().to_dict()
+        fifo = dict(d, mode=dict(d["mode"], scheduler="fifo"))
         with service(tmp_path) as (_server, client):
-            status, payload = client._request("POST", "/jobs",
-                                              {"not-spec": 1})
-            assert status == 400
-            assert "spec" in payload["error"]
+            for body in ({"not-spec": 1}, {"spec": fifo}):
+                status, payload = client._request("POST", "/jobs", body)
+                assert status == 400, body
+                assert "spec" in payload["error"].lower()
 
     def test_adhoc_kernel_spec_rejected(self, tmp_path):
         bogus = dict(spec().to_dict(), app=None)

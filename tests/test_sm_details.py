@@ -1,12 +1,16 @@
 """Focused SM behaviours: bank conflicts, Dyn paths, classification."""
 
+import gc
+
 import pytest
 
 from repro.config import GPUConfig
 from repro.core.sharing import SharedResource, SharingSpec, plan_sharing
 from repro.isa.builder import KernelBuilder
+from repro.sched import SCHEDULERS
 from repro.sim.gpu import GPU
-from repro.sim.warp import WarpState
+from repro.sim.warp import WarpContext, WarpState
+from repro.workloads.apps import APPS
 
 CFG1 = GPUConfig().scaled(num_clusters=1)
 
@@ -128,3 +132,39 @@ class TestClassification:
         empty_sm = r.sm_stats[1]
         assert empty_sm.empty_cycles == r.cycles
         assert empty_sm.instructions == 0
+
+
+def _warps_reachable_from(root):
+    """WarpContexts reachable from ``root`` through containers and repro
+    objects (warps themselves are not traversed: a warp reaches its block
+    and so every sibling warp)."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        for ref in gc.get_referents(obj):
+            if isinstance(ref, WarpContext):
+                found.append(ref)
+            elif isinstance(ref, (list, tuple, dict, set)) or (
+                    not isinstance(ref, type)
+                    and type(ref).__module__.startswith("repro.")):
+                stack.append(ref)
+    return found
+
+
+class TestSchedulerRetention:
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    def test_finished_warps_not_retained(self, scheduler):
+        k = APPS["backprop"].kernel(0.1).with_grid(2 * CFG1.num_sms * 4)
+        gpu = GPU(k, CFG1, scheduler=scheduler)
+        gpu.run()
+        for sm in gpu.sms:
+            assert sm.stats.blocks_completed > 0
+            for sched in sm.schedulers:
+                held = _warps_reachable_from(sched)
+                assert all(w.state is WarpState.FINISHED for w in held)
+                assert all(w is sched.last for w in held), (
+                    f"SM {sm.sm_id} scheduler {sched.sched_id} retains "
+                    f"{len(held)} finished warps")
