@@ -6,13 +6,19 @@ this script proves them across process boundaries, the way the service
 actually deploys:
 
 1. start ``python -m repro serve`` as a subprocess;
-2. run a fig8-style cell batch through the ``repro submit`` CLI and
+2. send a request with a malformed ``Content-Length``: it must get a
+   400 and the server must keep serving;
+3. run a fig8-style cell batch through the ``repro submit`` CLI and
    assert every result payload is digest- and result-identical to a
    direct ``repro run --json`` of the same cell;
-3. queue 20 jobs and ``SIGTERM`` the server mid-queue: the process
+4. queue 20 jobs and ``SIGTERM`` the server mid-queue: the process
    must exit 0 (graceful drain), leave no job in ``running`` and lose
    none;
-4. restart on the same store and drain the queue to completion.
+5. restart on the same store and drain the queue to completion.
+
+Each server's stderr goes to a file in the smoke's temp dir; the run
+fails if either file shows a ``Traceback`` or an asyncio
+``Unhandled exception`` (a request handler that crashed silently).
 
 Usage::
 
@@ -44,11 +50,12 @@ def free_port() -> int:
         return s.getsockname()[1]
 
 
-def start_server(port: int, db: Path) -> subprocess.Popen:
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", str(port),
-         "--db", str(db), "--jobs", "1", "--no-cache",
-         "--batch-wait", "0.02"])
+def start_server(port: int, db: Path, log: Path) -> subprocess.Popen:
+    with open(log, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", str(port),
+             "--db", str(db), "--jobs", "1", "--no-cache",
+             "--batch-wait", "0.02"], stderr=err)
     client = ServiceClient(port=port, timeout=5.0)
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline:
@@ -62,6 +69,26 @@ def start_server(port: int, db: Path) -> subprocess.Popen:
             time.sleep(0.05)
     proc.kill()
     raise SystemExit("server did not come up within 30s")
+
+
+def check_bad_content_length(port: int) -> None:
+    with socket.create_connection(("127.0.0.1", port)) as sock:
+        sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                     b"Content-Length: abc\r\n\r\n")
+        status = sock.makefile("rb").readline()
+    if not status.startswith(b"HTTP/1.1 400 "):
+        raise SystemExit(f"bad Content-Length got {status!r}, "
+                         f"expected a 400")
+    ServiceClient(port=port, timeout=5.0).healthz()
+    print("  bad Content-Length: 400, server still serving")
+
+
+def check_stderr(logs: list[Path]) -> None:
+    for log in logs:
+        text = log.read_text(errors="replace")
+        if "Traceback" in text or "Unhandled exception" in text:
+            raise SystemExit(f"server crash logged in {log}:\n{text}")
+    print(f"  server stderr: no tracebacks in {len(logs)} log(s)")
 
 
 def cli_json(argv: list[str]) -> dict:
@@ -137,17 +164,21 @@ def main(argv: list[str] | None = None) -> int:
     db = tmp / "jobs.sqlite"
     port = free_port()
 
+    logs = [tmp / "server-1.stderr", tmp / "server-2.stderr"]
+
     print(f"service smoke: port {port}, store {db}")
-    proc = start_server(port, db)
+    proc = start_server(port, db, logs[0])
     try:
+        check_bad_content_length(port)
         check_digest_equality(port)
         ids = queue_20_and_sigterm(port, db, proc)
-        proc = start_server(port, db)
+        proc = start_server(port, db, logs[1])
         drain_after_restart(port, ids)
     finally:
         if proc.poll() is None:
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=60)
+    check_stderr(logs)
     print("service smoke: OK")
     return 0
 

@@ -107,12 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     ps.add_argument("--max-queue", type=int, default=256,
                     help="admission control: max queued jobs before "
                          "submissions get 429")
-    ps.add_argument("--max-queued-bytes", type=int, default=8 << 20,
-                    help="admission control: max queued spec bytes")
-    ps.add_argument("--rate-limit", type=float, default=0.0,
-                    help="per-client submissions/sec (0 = unlimited)")
-    ps.add_argument("--rate-burst", type=int, default=20,
-                    help="per-client token-bucket burst")
 
     pu = sub.add_parser("submit", help="queue a run on a service")
     pu.add_argument("kernel", help="registry app name (ad-hoc .kasm "
@@ -131,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     pu.add_argument("--host", default="127.0.0.1")
     pu.add_argument("--port", type=int, default=8070)
     pu.add_argument("--client", default="cli",
-                    help="client id for rate limiting / job listings")
+                    help="client id for job listings")
     pu.add_argument("--wait", action="store_true",
                     help="block until the job finishes and print the "
                          "result")
@@ -288,9 +282,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cfg = ServiceConfig(
         host=args.host, port=args.port, db_path=args.db,
         batch_max=args.batch_max, batch_wait=args.batch_wait,
-        max_queue_depth=args.max_queue,
-        max_queued_bytes=args.max_queued_bytes,
-        rate_limit=args.rate_limit, rate_burst=args.rate_burst)
+        max_queue_depth=args.max_queue)
     server = ServiceServer(cfg, engine_opts=engine_kwargs(args))
     print(f"repro service: db={cfg.db_path} "
           f"batch_max={cfg.batch_max} max_queue={cfg.max_queue_depth}"

@@ -775,11 +775,24 @@ class Engine:
         pool = ProcessPoolExecutor(max_workers=workers)
         tick = 0.05 if self.timeout is not None else 0.2
 
-        def submit(d: str) -> None:
+        def submit(d: str) -> bool:
+            """Start ``d``; False if the pool broke since the last wait.
+
+            A worker can die between ``wait`` and this call.  ``d`` then
+            stays queued, uncharged: the dead pool's inflight futures
+            carry the error, and the next ``wait`` blames them.  With
+            nothing inflight there is no one to blame; start afresh.
+            """
             attempt = fail_count.get(d, 0) + 1
-            fut = pool.submit(_execute_timed, unique[d], attempt,
-                              self.faults, self.sanitize, True)
+            try:
+                fut = pool.submit(_execute_timed, unique[d], attempt,
+                                  self.faults, self.sanitize, True)
+            except BrokenExecutor:
+                if not inflight:
+                    kill_pool()
+                return False
             inflight[fut] = (d, time.monotonic())
+            return True
 
         def kill_pool() -> None:
             nonlocal pool
@@ -836,13 +849,15 @@ class Engine:
                         if inflight:
                             break  # wait for the pool to drain first
                         d = ready(solo)
-                        if d is not None:
-                            submit(d)
+                        if d is not None and not submit(d):
+                            solo.insert(0, d)
                         break  # at most one solo inflight
                     d = ready(pending)
                     if d is None:
                         break
-                    submit(d)
+                    if not submit(d):
+                        pending.insert(0, d)
+                        break
                 if not inflight:
                     # Everything runnable is backing off — sleep a beat.
                     if pending or solo:

@@ -7,9 +7,9 @@ long-running multi-client service (see docs/service.md):
   submitted specs, states, priorities and results across restarts.
 * :mod:`repro.service.server` — asyncio HTTP server with a batching
   scheduler (coalesces compatible queued jobs into ``run_batch``
-  calls), priority + FIFO ordering, per-client rate limiting,
-  admission control, graceful drain, and ``/healthz`` / ``/metrics``
-  (Prometheus text) / ``/jobs`` introspection.
+  calls), priority + FIFO ordering, a queue-depth admission bound,
+  graceful drain, and ``/healthz`` / ``/metrics`` (Prometheus text) /
+  ``/jobs`` introspection.
 * :mod:`repro.service.client` — stdlib blocking client library used by
   the ``repro submit`` / ``repro jobs`` CLI verbs.
 * :mod:`repro.service.serialize` — the result/failure wire payloads,

@@ -50,7 +50,7 @@ class ServiceError(RuntimeError):
 
 
 class AdmissionRejected(ServiceError):
-    """The service shed this submission (queue bound / rate limit)."""
+    """The service shed this submission (queue-depth bound)."""
 
     def __init__(self, status: int, payload) -> None:
         super().__init__(status, payload)
@@ -84,8 +84,6 @@ class ServiceClient:
             timeout=timeout if timeout is not None else self.timeout)
         try:
             headers = {"Connection": "close"}
-            if self.client_id:
-                headers["X-Repro-Client"] = self.client_id
             payload = None
             if body is not None:
                 payload = json.dumps(body)

@@ -14,9 +14,8 @@ semantics):
   inherits the engine's dedup, result cache, retries, timeouts and
   failure isolation verbatim rather than reimplementing them;
 * **admission control**: a submission is rejected with ``429`` when
-  the queue is too deep, the queued spec bytes exceed the bound, or
-  the per-client token bucket is empty.  Load is shed at the door, not
-  absorbed until the process falls over.
+  the queue is too deep.  Load is shed at the door, not absorbed until
+  the process falls over.
 
 Durability: every result is persisted the moment it lands (the
 engine's ``on_complete`` hook), so ``kill -TERM`` mid-batch loses
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import signal
 import threading
 import time
@@ -44,16 +44,15 @@ from repro.service.serialize import failure_payload, result_payload
 from repro.service.store import Job, JobStore
 from repro.workloads.apps import APPS
 
-__all__ = ["ServiceConfig", "ServiceServer", "TokenBucket"]
+__all__ = ["ServiceConfig", "ServiceServer"]
 
 #: Hard cap on a request body; larger submissions get 413.
 MAX_BODY_BYTES = 1 << 20
-
-_REASONS = {
-    "queue_depth": "queue depth bound reached",
-    "queued_bytes": "queued spec bytes bound reached",
-    "rate": "per-client rate limit exceeded",
-}
+#: Cap on one ``/jobs/<id>/wait`` long-poll request (seconds).
+MAX_WAIT_SECONDS = 60.0
+#: A well-formed Content-Length: plain ASCII digits, few enough that
+#: ``int()`` always parses them.
+_CONTENT_LENGTH = re.compile(r"[0-9]{1,18}")
 
 _STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -61,6 +60,12 @@ _STATUS_TEXT = {
     413: "Payload Too Large", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
+
+
+def _is_int64(value) -> bool:
+    """True for an integer SQLite can store (signed 64-bit); bools and
+    floats are not integers here."""
+    return type(value) is int and -(1 << 63) <= value < (1 << 63)
 
 
 @dataclass
@@ -72,37 +77,9 @@ class ServiceConfig:
     db_path: str | Path = "repro-jobs.sqlite"
     batch_max: int = 16              #: max jobs coalesced per run_batch
     batch_wait: float = 0.05         #: coalescing window (seconds)
-    poll_interval: float = 0.05      #: scheduler idle poll (seconds)
+    poll_interval: float = 0.05      #: scheduler / long-poll check (s)
     max_queue_depth: int = 256       #: admission bound: queued jobs
-    max_queued_bytes: int = 8 << 20  #: admission bound: queued spec bytes
-    rate_limit: float = 0.0          #: per-client submits/sec (0 = off)
-    rate_burst: int = 20             #: token-bucket burst size
-    wait_poll: float = 0.05          #: long-poll check interval
-    wait_max: float = 60.0           #: cap on one long-poll request
     start_paused: bool = False       #: scheduler idles until unpaused
-
-
-class TokenBucket:
-    """Classic token bucket: ``rate`` refills/sec up to ``burst``."""
-
-    __slots__ = ("rate", "burst", "tokens", "stamp")
-
-    def __init__(self, rate: float, burst: int) -> None:
-        self.rate = rate
-        self.burst = float(max(1, burst))
-        self.tokens = self.burst
-        self.stamp = time.monotonic()
-
-    def allow(self) -> bool:
-        """Consume one token if available."""
-        now = time.monotonic()
-        self.tokens = min(self.burst,
-                          self.tokens + (now - self.stamp) * self.rate)
-        self.stamp = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
 
 
 @dataclass
@@ -138,7 +115,6 @@ class ServiceServer:
         self.draining = False
         self.started_at = time.time()
         self._engines: dict[bool, Engine] = {}
-        self._buckets: dict[str, TokenBucket] = {}
         self._batch: _BatchState | None = None
         self._mlock = threading.Lock()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -367,7 +343,12 @@ class ServiceServer:
                 break
             key, _, value = line.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        declared = headers.get("content-length", "0")
+        if not _CONTENT_LENGTH.fullmatch(declared):
+            await self._respond(writer, 400,
+                                {"error": "bad Content-Length"})
+            return
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             await self._respond(writer, 413,
                                 {"error": "request body too large",
@@ -377,10 +358,9 @@ class ServiceServer:
         parts = urlsplit(target)
         query = {k: v[-1] for k, v in parse_qs(parts.query).items()}
         peer = writer.get_extra_info("peername")
-        client = headers.get("x-repro-client") \
-            or (f"{peer[0]}" if peer else "unknown")
-        status, payload = await self._route(method, parts.path, query,
-                                            body, client, reader, writer)
+        status, payload = await self._route(
+            method, parts.path, query, body,
+            f"{peer[0]}" if peer else "unknown", reader, writer)
         if status is not None:
             await self._respond(writer, status, payload)
 
@@ -407,7 +387,7 @@ class ServiceServer:
 
     # -- routing -------------------------------------------------------
     async def _route(self, method: str, path: str, query: dict,
-                     body: bytes, client: str,
+                     body: bytes, peer: str,
                      reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter):
         if path == "/healthz" and method == "GET":
@@ -417,7 +397,7 @@ class ServiceServer:
         if path == "/jobs" and method == "GET":
             return self._list_jobs(query)
         if path == "/jobs" and method == "POST":
-            return self._submit(body, client)
+            return self._submit(body, peer)
         if path.startswith("/jobs/"):
             rest = path[len("/jobs/"):].split("/")
             job_id = rest[0]
@@ -449,7 +429,6 @@ class ServiceServer:
             "uptime_s": round(time.time() - self.started_at, 3),
             "paused": self.paused,
             "jobs": counts,
-            "queued_bytes": self.store.queued_bytes(),
             "running_batch": sorted(self._batch.job_ids)
             if self._batch else [],
             "recovered_on_start": self.recovered,
@@ -461,8 +440,6 @@ class ServiceServer:
         with self._mlock:
             for state, n in counts.items():
                 self.registry.gauge("service_jobs", state=state).set(n)
-            self.registry.gauge("service_queued_bytes") \
-                .set(self.store.queued_bytes())
             self.registry.gauge("service_uptime_seconds") \
                 .set(round(time.time() - self.started_at, 3))
             sims = hits = 0
@@ -481,34 +458,39 @@ class ServiceServer:
         try:
             limit = int(query.get("limit", 200))
         except ValueError:
-            return 400, {"error": "limit must be an integer"}
+            limit = None
+        if not _is_int64(limit):
+            return 400, {"error": "limit must be a 64-bit integer"}
         jobs = self.store.list_jobs(state=state,
                                     client=query.get("client"),
                                     limit=limit)
         return 200, {"jobs": [j.to_dict() for j in jobs]}
 
-    def _submit(self, body: bytes, client: str):
+    def _submit(self, body: bytes, peer: str):
         if self.draining:
             return 503, {"error": "service is draining"}
         try:
             payload = json.loads(body.decode() or "{}")
-            spec_dict = payload["spec"]
-        except (ValueError, KeyError, UnicodeDecodeError):
-            return 400, {"error": "body must be JSON with a 'spec' key"}
-        client = payload.get("client") or client
+        except (ValueError, UnicodeDecodeError):
+            payload = None
+        if not isinstance(payload, dict) or "spec" not in payload:
+            return 400, {"error": "body must be a JSON object with a "
+                                  "'spec' key"}
+        client = payload.get("client") or peer
+        if not isinstance(client, str):
+            return 400, {"error": "client must be a string"}
         # Admission control: shed load at the door.
-        reason = self._admission_reason(client)
-        if reason is not None:
+        if self.store.queue_depth() >= self.config.max_queue_depth:
             with self._mlock:
                 self.registry.counter("service_jobs_rejected_total",
-                                      reason=reason).inc()
-            return 429, {"error": _REASONS[reason], "reason": reason,
-                         "retry_after": 1.0}
+                                      reason="queue_depth").inc()
+            return 429, {"error": "queue depth bound reached",
+                         "reason": "queue_depth", "retry_after": 1.0}
         try:
-            spec = RunSpec.from_dict(spec_dict)
+            spec = RunSpec.from_dict(payload["spec"])
         except (KeyError, TypeError, ValueError) as exc:
             return 400, {"error": f"malformed RunSpec: {exc}"}
-        if spec.app is None or spec.app not in APPS:
+        if not isinstance(spec.app, str) or spec.app not in APPS:
             return 400, {"error": "only registry-app specs can run "
                                   "remotely (ad-hoc kernels do not "
                                   "survive JSON)",
@@ -516,31 +498,18 @@ class ServiceServer:
         if spec.trace is not None:
             return 400, {"error": "trace output is a local side effect; "
                                   "submit without 'trace'"}
-        try:
-            priority = int(payload.get("priority", 0))
-        except (TypeError, ValueError):
-            return 400, {"error": "priority must be an integer"}
+        priority = payload.get("priority", 0)
+        if not _is_int64(priority):
+            return 400, {"error": "priority must be a 64-bit integer"}
+        sanitize = payload.get("sanitize", False)
+        if not isinstance(sanitize, bool):
+            return 400, {"error": "sanitize must be a JSON boolean"}
         job = self.store.submit(
             spec.to_dict(), spec.digest(), priority=priority,
-            client=client, sanitize=bool(payload.get("sanitize", False)))
+            client=client, sanitize=sanitize)
         with self._mlock:
             self.registry.counter("service_jobs_submitted_total").inc()
         return 202, {"job": job.to_dict()}
-
-    def _admission_reason(self, client: str) -> str | None:
-        cfg = self.config
-        if cfg.rate_limit > 0:
-            bucket = self._buckets.get(client)
-            if bucket is None:
-                bucket = self._buckets[client] = TokenBucket(
-                    cfg.rate_limit, cfg.rate_burst)
-            if not bucket.allow():
-                return "rate"
-        if self.store.queue_depth() >= cfg.max_queue_depth:
-            return "queue_depth"
-        if self.store.queued_bytes() >= cfg.max_queued_bytes:
-            return "queued_bytes"
-        return None
 
     def _job_status(self, job_id: str):
         job = self.store.get(job_id)
@@ -585,7 +554,7 @@ class ServiceServer:
 
         Returns the job plus (when terminal) the same payload as
         ``/result``.  Bounded by ``?timeout=`` capped at
-        ``config.wait_max``; a drain ends the poll early with the
+        :data:`MAX_WAIT_SECONDS`; a drain ends the poll early with the
         current state so clients fall back to reconnect-and-retry.
 
         A background one-byte read watches for the client hanging up
@@ -595,10 +564,10 @@ class ServiceServer:
         timeout.
         """
         try:
-            timeout = float(query.get("timeout", self.config.wait_max))
+            timeout = float(query.get("timeout", MAX_WAIT_SECONDS))
         except ValueError:
             return 400, {"error": "timeout must be a number"}
-        timeout = max(0.0, min(timeout, self.config.wait_max))
+        timeout = max(0.0, min(timeout, MAX_WAIT_SECONDS))
         deadline = time.monotonic() + timeout
         gone = asyncio.ensure_future(reader.read(1))
         try:
@@ -614,6 +583,6 @@ class ServiceServer:
                         or writer.is_closing() or gone.done()):
                     return 200, {"job": job.to_dict(), "timed_out": True,
                                  "payload": None}
-                await self._sleep(self.config.wait_poll)
+                await self._sleep(self.config.poll_interval)
         finally:
             gone.cancel()

@@ -147,6 +147,8 @@ class JobStore:
         """Insert a new ``queued`` job and return it."""
         job_id = job_id or uuid.uuid4().hex[:16]
         text = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+        # spec_bytes is unused, but stores created by earlier versions
+        # declare it NOT NULL with no default, so every insert fills it.
         with self._lock, self._db:
             self._db.execute(
                 "INSERT INTO jobs (id, digest, spec, spec_bytes, sanitize,"
@@ -200,14 +202,6 @@ class JobStore:
         with self._lock:
             row = self._db.execute(
                 "SELECT COUNT(*) AS n FROM jobs"
-                " WHERE state = 'queued'").fetchone()
-        return row["n"]
-
-    def queued_bytes(self) -> int:
-        """Summed spec payload bytes over ``queued`` jobs."""
-        with self._lock:
-            row = self._db.execute(
-                "SELECT COALESCE(SUM(spec_bytes), 0) AS n FROM jobs"
                 " WHERE state = 'queued'").fetchone()
         return row["n"]
 

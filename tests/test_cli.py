@@ -248,6 +248,22 @@ class TestServiceCli:
         out = capsys.readouterr().out
         assert job_id in out and "done" in out
 
+    def test_submit_rejected_exits_2(self, tmp_path, capsys):
+        from repro.service import ServiceConfig, ServiceServer
+        srv = ServiceServer(
+            ServiceConfig(port=0, db_path=tmp_path / "jobs.sqlite",
+                          max_queue_depth=1, start_paused=True),
+            engine_opts={"jobs": 1, "cache": False})
+        srv.start_in_thread()
+        try:
+            assert repro_main(self._submit_argv(srv)) == 0
+            capsys.readouterr()
+            assert repro_main(self._submit_argv(srv)) == 2
+            assert "submission rejected (queue_depth)" \
+                in capsys.readouterr().err
+        finally:
+            srv.stop()
+
     def test_jobs_cancel(self, server, capsys):
         import json
         server.paused = True

@@ -1,8 +1,12 @@
 """Fault-injection harness + the chaos acceptance scenario."""
 
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.config import GPUConfig
+from repro.harness import engine as engine_mod
 from repro.harness.engine import Engine, ResultCache, RunSpec
 from repro.harness.faults import (CRASH_EXIT_CODE, FAULT_KINDS,
                                   FaultInjector, FaultSpec, InjectedCrash,
@@ -156,6 +160,44 @@ class TestChaosAcceptance:
         results = eng.run_batch(specs)
         assert all(r.ok for r in results)
         assert eng.stats.failures == 0
+
+
+    @pytest.mark.parametrize("first_submit_ok", [True, False])
+    def test_pool_breaks_between_wait_and_submit(self, monkeypatch,
+                                                 first_submit_ok):
+        """A worker that dies after ``wait`` returns makes the next
+        ``pool.submit`` raise.  The engine must treat that as a broken
+        pool (blame the inflight run, or with nothing inflight start a
+        fresh pool) instead of letting the error escape the batch."""
+
+        class BrokenFirstPool(ProcessPoolExecutor):
+            made = 0
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                BrokenFirstPool.made += 1
+                self.broken_calls = 0 if BrokenFirstPool.made == 1 \
+                    else None
+
+            def submit(self, fn, /, *args, **kwargs):
+                if self.broken_calls is None:
+                    return super().submit(fn, *args, **kwargs)
+                self.broken_calls += 1
+                if first_submit_ok and self.broken_calls == 1:
+                    fut = Future()  # the run that took the worker down
+                    fut.set_exception(BrokenProcessPool("worker died"))
+                    return fut
+                raise BrokenProcessPool("worker died")
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor",
+                            BrokenFirstPool)
+        specs = [spec(a) for a in CHAOS_APPS[:3]]
+        eng = Engine(jobs=2, cache=False,
+                     retry=RetryPolicy(max_attempts=2, backoff_base=0.01))
+        results = eng.run_batch(specs)
+        assert all(r.ok for r in results)
+        assert eng.stats.retries == (1 if first_submit_ok else 0)
+        assert BrokenFirstPool.made >= 2
 
 
 class TestNoFaultBitIdentity:

@@ -63,6 +63,17 @@ def wait_done(client, job_ids, timeout=30.0):
     return {jid: client.wait(jid, timeout=timeout) for jid in job_ids}
 
 
+def raw_request(port, data):
+    """Send raw bytes and read the whole response (the server closes)."""
+    sock = socket.create_connection(("127.0.0.1", port))
+    sock.sendall(data)
+    response = b""
+    while chunk := sock.recv(4096):
+        response += chunk
+    sock.close()
+    return response
+
+
 class TestRoundTrip:
     def test_digest_identical_to_direct_run(self, tmp_path):
         s = spec()
@@ -83,6 +94,33 @@ class TestRoundTrip:
             res = client.run(s, timeout=30)
         assert isinstance(res, RunResult)
         assert res == Engine(jobs=1, cache=False).run_one(s)
+
+    def test_run_admission_retries(self, tmp_path, monkeypatch):
+        """``run`` re-raises a 429 with no retries left, and with
+        retries submits again once the queue has room."""
+        first, second = distinct_specs(2)
+        with service(tmp_path, start_paused=True,
+                     max_queue_depth=1) as (server, client):
+            client.submit(first)
+            with pytest.raises(AdmissionRejected) as exc:
+                client.run(second, admission_retries=0)
+            assert exc.value.reason == "queue_depth"
+
+            rejected = []
+            submit = client.submit
+
+            def submit_then_unpause(*args, **kwargs):
+                try:
+                    return submit(*args, **kwargs)
+                except AdmissionRejected:
+                    rejected.append(1)
+                    server.paused = False  # the retry finds room
+                    raise
+
+            monkeypatch.setattr(client, "submit", submit_then_unpause)
+            res = client.run(second, timeout=30, admission_retries=10)
+        assert rejected
+        assert res == Engine(jobs=1, cache=False).run_one(second)
 
     def test_in_batch_dedup_shares_one_simulation(self, tmp_path):
         s = spec()
@@ -105,6 +143,11 @@ class TestRoundTrip:
             assert got["app"] == "gaussian"
             listed = client.jobs(state="done", client="test")
             assert job["id"] in {j["id"] for j in listed}
+            for limit in ("abc", "99999999999999999999999"):
+                status, payload = client._request(
+                    "GET", f"/jobs?limit={limit}")
+                assert status == 400, limit
+                assert "limit" in payload["error"]
 
     def test_result_endpoint_and_pending(self, tmp_path):
         with service(tmp_path, start_paused=True) as (server, client):
@@ -152,19 +195,26 @@ class TestEndpoints:
     def test_malformed_body_400(self, tmp_path):
         d = spec().to_dict()
         fifo = dict(d, mode=dict(d["mode"], scheduler="fifo"))
+        cases = [({"not-spec": 1}, "spec"), ({"spec": fifo}, "spec"),
+                 ([1, 2], "object"),
+                 ({"spec": d, "priority": 10**30}, "priority"),
+                 ({"spec": d, "sanitize": "false"}, "sanitize"),
+                 ({"spec": d, "client": {"id": 1}}, "client")]
         with service(tmp_path) as (_server, client):
-            for body in ({"not-spec": 1}, {"spec": fifo}):
+            for body, word in cases:
                 status, payload = client._request("POST", "/jobs", body)
                 assert status == 400, body
-                assert "spec" in payload["error"].lower()
+                assert word in payload["error"].lower(), body
+            assert sum(client.healthz()["jobs"].values()) == 0
 
     def test_adhoc_kernel_spec_rejected(self, tmp_path):
-        bogus = dict(spec().to_dict(), app=None)
         with service(tmp_path) as (_server, client):
-            status, payload = client._request("POST", "/jobs",
-                                              {"spec": bogus})
-            assert status == 400
-            assert "registry-app" in payload["error"]
+            for app in (None, ["bfs"]):
+                bogus = dict(spec().to_dict(), app=app)
+                status, payload = client._request("POST", "/jobs",
+                                                  {"spec": bogus})
+                assert status == 400, app
+                assert "registry-app" in payload["error"]
 
     def test_trace_spec_rejected(self, tmp_path):
         traced = dict(spec().to_dict(), trace="out.trace")
@@ -190,7 +240,7 @@ class TestEndpoints:
 
     def test_wait_times_out_while_paused(self, tmp_path):
         with service(tmp_path, start_paused=True,
-                     wait_poll=0.01) as (_server, client):
+                     poll_interval=0.01) as (_server, client):
             job = client.submit(spec())
             payload = client._checked(
                 "GET", f"/jobs/{job['id']}/wait?timeout=0.05")
@@ -216,39 +266,24 @@ class TestAdmissionControl:
             assert ('service_jobs_rejected_total{reason="queue_depth"} 1'
                     in text)
 
-    def test_queued_bytes_bound(self, tmp_path):
-        with service(tmp_path, start_paused=True,
-                     max_queued_bytes=10) as (_server, client):
-            sp = distinct_specs(2)
-            client.submit(sp[0])  # first one exceeds the 10-byte bound
-            with pytest.raises(AdmissionRejected) as exc:
-                client.submit(sp[1])
-            assert exc.value.reason == "queued_bytes"
-
-    def test_per_client_rate_limit(self, tmp_path):
-        with service(tmp_path, start_paused=True, rate_limit=0.001,
-                     rate_burst=1) as (_server, client):
-            sp = distinct_specs(2)
-            client.submit(sp[0])
-            with pytest.raises(AdmissionRejected) as exc:
-                client.submit(sp[1])
-            assert exc.value.reason == "rate"
-            # A different client has its own bucket.
-            other = ServiceClient(port=client.port, client_id="other")
-            other.submit(sp[1])
-
     def test_oversized_body_413(self, tmp_path):
         """The body cap rejects on the declared Content-Length, before
         reading (or even receiving) a single payload byte."""
         with service(tmp_path) as (server, _client):
-            sock = socket.create_connection(("127.0.0.1", server.port))
-            sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
-                         b"Content-Length: 2097152\r\n\r\n")
-            response = b""
-            while chunk := sock.recv(4096):
-                response += chunk
-            sock.close()
+            response = raw_request(
+                server.port, b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: 2097152\r\n\r\n")
             assert b"413" in response.split(b"\r\n", 1)[0]
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_400(self, tmp_path, length):
+        with service(tmp_path) as (server, client):
+            response = raw_request(
+                server.port, b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: " + length + b"\r\n\r\n")
+            assert response.split(b"\r\n", 1)[0] \
+                == b"HTTP/1.1 400 Bad Request"
+            assert client.healthz()["status"] == "ok"
 
     def test_eight_concurrent_clients_with_rejections(self, tmp_path):
         """ISSUE acceptance: >=8 simultaneous clients submitting batches
@@ -383,7 +418,7 @@ class TestFailurePaths:
         """A client that vanishes while parked on /wait must not wedge
         the server or leak its handler task."""
         with service(tmp_path, start_paused=True,
-                     wait_poll=0.01) as (server, client):
+                     poll_interval=0.01) as (server, client):
             job = client.submit(spec())
             sock = socket.create_connection(("127.0.0.1", server.port))
             sock.sendall((f"GET /jobs/{job['id']}/wait?timeout=30 "

@@ -36,14 +36,6 @@ class TestSubmitAndLookup:
         assert st.counts()["queued"] == 3
         assert st.queue_depth() == 3
 
-    def test_queued_bytes_tracks_spec_size(self, tmp_path):
-        st = store(tmp_path)
-        assert st.queued_bytes() == 0
-        job = st.submit({"app": "x" * 100}, "d0")
-        assert st.queued_bytes() > 100
-        st.cancel(job.id)
-        assert st.queued_bytes() == 0
-
     def test_list_filters(self, tmp_path):
         st = store(tmp_path)
         a = st.submit({"app": "a"}, "da", client="alice")
