@@ -17,8 +17,8 @@ Scale knobs (override via environment):
 All runs share one :class:`~repro.harness.engine.Engine` with the
 on-disk result cache enabled, so repeat benchmark invocations (and
 experiments that overlap, e.g. fig9a after fig8c) reuse finished
-simulations.  Delete ``~/.cache/repro`` or set ``REPRO_NO_CACHE=1``
-to force cold runs.
+simulations.  Delete ``~/.cache/repro`` or point ``REPRO_CACHE_DIR``
+at an empty directory to force cold runs.
 """
 
 import os

@@ -1,8 +1,7 @@
 """Experiment harness: run modes, reproduce every paper table/figure."""
 
 from repro.harness.runner import Mode, run, unshared, shared, improvement
-from repro.harness.engine import (Engine, EngineStats, ResultCache, RunSpec,
-                                  default_engine)
+from repro.harness.engine import Engine, EngineStats, ResultCache, RunSpec
 from repro.harness.resilience import (BatchReport, RetryPolicy, RunFailure,
                                       split_results)
 from repro.harness.faults import FaultInjector, corrupt_cache_entry
@@ -19,7 +18,6 @@ __all__ = [
     "EngineStats",
     "ResultCache",
     "RunSpec",
-    "default_engine",
     "BatchReport",
     "RetryPolicy",
     "RunFailure",

@@ -23,7 +23,7 @@ deduplication and persistence of simulations:
   ``REPRO_CACHE_DIR``) keyed by ``RunSpec.digest()``; entries hold the
   spec and the full :meth:`RunResult.to_dict` payload.
 * Observability — per-run wall time, hit/miss/dedup counters
-  (:class:`EngineStats`) and a per-completion progress callback
+  (:class:`EngineStats`) and a per-completion ``on_complete`` callback
   (:class:`RunEvent`).
 * Resilience (see docs/resilience.md) — a failing run yields a
   structured :class:`~repro.harness.resilience.RunFailure` at its
@@ -37,10 +37,9 @@ deduplication and persistence of simulations:
   ``faults=`` accepts a deterministic
   :class:`~repro.harness.faults.FaultInjector` for chaos testing.
 
-Environment knobs: ``REPRO_JOBS`` (worker count when ``jobs`` is not
-given), ``REPRO_CACHE_DIR`` (cache location), ``REPRO_NO_CACHE=1``
-(disable the disk cache globally), ``REPRO_SANITIZE=1`` (sanitizer
-default-on).  See docs/engine.md and docs/resilience.md.
+Every setting is an :class:`Engine` argument (the CLIs map their flags
+onto them); the one environment variable is ``REPRO_CACHE_DIR``, the
+default cache location.  See docs/engine.md and docs/resilience.md.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from repro.workloads.apps import APPS, App
 
 __all__ = ["RunSpec", "Engine", "EngineStats", "RunEvent", "ResultCache",
            "RunFailure", "RetryPolicy", "kernel_fingerprint", "code_salt",
-           "default_engine", "engine_arg_parser", "engine_kwargs"]
+           "engine_arg_parser", "engine_kwargs"]
 
 #: Bump when the cache entry layout changes (independent of code salt).
 CACHE_SCHEMA = 1
@@ -295,20 +294,18 @@ class ResultCache:
     once instead of re-parsed forever.
 
     The quarantine directory is bounded: after each move, entries are
-    pruned oldest-first until at most :attr:`quarantine_max_files`
-    files totalling at most :attr:`quarantine_max_bytes` remain
+    pruned oldest-first until at most :attr:`QUARANTINE_MAX_FILES`
+    files totalling at most :attr:`QUARANTINE_MAX_BYTES` remain
     (pruned files are counted in :attr:`pruned` and surface in the
     engine footer).  Post-mortem evidence is useful; an unbounded
     graveyard is not.
     """
 
-    #: Default quarantine bounds (overridable per instance).
+    #: Quarantine bounds.
     QUARANTINE_MAX_FILES = 32
     QUARANTINE_MAX_BYTES = 4 << 20
 
-    def __init__(self, root: str | Path | None = None, *,
-                 quarantine_max_files: int | None = None,
-                 quarantine_max_bytes: int | None = None) -> None:
+    def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root if root is not None
                          else os.environ.get("REPRO_CACHE_DIR")
                          or Path.home() / ".cache" / "repro")
@@ -316,12 +313,6 @@ class ResultCache:
         self.quarantined = 0
         #: Old quarantine files deleted to stay within the bounds.
         self.pruned = 0
-        self.quarantine_max_files = (
-            quarantine_max_files if quarantine_max_files is not None
-            else self.QUARANTINE_MAX_FILES)
-        self.quarantine_max_bytes = (
-            quarantine_max_bytes if quarantine_max_bytes is not None
-            else self.QUARANTINE_MAX_BYTES)
 
     def path(self, digest: str) -> Path:
         """Entry location for a digest."""
@@ -378,8 +369,8 @@ class ResultCache:
         total = sum(size for _m, size, _p in entries)
         removed = 0
         for _mtime, size, path in entries:      # oldest first
-            if (count <= self.quarantine_max_files
-                    and total <= self.quarantine_max_bytes):
+            if (count <= self.QUARANTINE_MAX_FILES
+                    and total <= self.QUARANTINE_MAX_BYTES):
                 break
             try:
                 path.unlink()
@@ -439,7 +430,8 @@ class EngineStats:
 
 @dataclass(frozen=True)
 class RunEvent:
-    """Progress-callback payload: one completed (or cache-served) run."""
+    """``on_complete`` payload: one settled (simulated, cache-served,
+    failed or cancelled) run."""
 
     index: int           #: 1-based completion order within the batch
     total: int           #: unique runs in the batch
@@ -449,29 +441,20 @@ class RunEvent:
     elapsed: float       #: simulation seconds (0.0 for cache hits)
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 class Engine:
     """Executes batches of :class:`RunSpec`, with dedup, cache and pool.
 
     Parameters
     ----------
     jobs:
-        Worker processes.  ``None`` → ``REPRO_JOBS`` or ``os.cpu_count()``;
-        ``1`` → deterministic in-process execution (no pool).
+        Worker processes.  ``None`` → ``os.cpu_count()``; ``1`` →
+        deterministic in-process execution (no pool).
     cache:
         ``True`` (default) enables the content-addressed disk cache,
         ``False`` disables it; a :class:`ResultCache` instance is used
-        as-is.  ``REPRO_NO_CACHE=1`` force-disables.
+        as-is.
     cache_dir:
         Cache root (default ``REPRO_CACHE_DIR`` or ``~/.cache/repro``).
-    progress:
-        Default per-completion callback receiving a :class:`RunEvent`.
     timeout:
         Per-run wall-clock budget in seconds (``None`` → unlimited).
         On the pool a hung worker is killed and the pool rebuilt; at
@@ -487,7 +470,7 @@ class Engine:
     sanitize:
         Run every simulation under the runtime invariant sanitizer
         (DESIGN.md §6).  Sanitized runs bypass the cache so the checks
-        actually execute.  Default: ``REPRO_SANITIZE=1``.
+        actually execute.  Default off.
     faults:
         Optional deterministic :class:`FaultInjector` for chaos testing.
     max_cycles:
@@ -507,28 +490,25 @@ class Engine:
     def __init__(self, *, jobs: int | None = None,
                  cache: bool | ResultCache = True,
                  cache_dir: str | Path | None = None,
-                 progress: Callable[[RunEvent], None] | None = None,
                  timeout: float | None = None,
                  retry: RetryPolicy | None = None,
                  fail_fast: bool = False,
-                 sanitize: bool | None = None,
+                 sanitize: bool = False,
                  faults: FaultInjector | None = None,
                  max_cycles: int | None = None,
                  metrics: bool = False,
                  trace_dir: str | Path | None = None) -> None:
-        self.jobs = max(1, jobs) if jobs is not None else _default_jobs()
+        self.jobs = max(1, jobs) if jobs is not None else os.cpu_count() or 1
         if isinstance(cache, ResultCache):
             self.cache: ResultCache | None = cache
-        elif cache and os.environ.get("REPRO_NO_CACHE") != "1":
+        elif cache:
             self.cache = ResultCache(cache_dir)
         else:
             self.cache = None
-        self.progress = progress
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.fail_fast = fail_fast
-        self.sanitize = (sanitize if sanitize is not None
-                         else os.environ.get("REPRO_SANITIZE") == "1")
+        self.sanitize = sanitize
         self.faults = faults
         self.max_cycles = max_cycles
         self.metrics = metrics
@@ -543,7 +523,6 @@ class Engine:
         return self.run_batch([spec])[0]
 
     def run_batch(self, specs: Sequence[RunSpec], *,
-                  progress: Callable[[RunEvent], None] | None = None,
                   cancel: "_CancelToken | None" = None,
                   on_complete: Callable[[RunEvent], None] | None = None
                   ) -> list[RunResult | RunFailure]:
@@ -572,13 +551,12 @@ class Engine:
         is built on: cancelled slots are requeued, completed ones kept.
 
         ``on_complete`` fires once per unique spec as its slot settles
-        (simulated, cache-served, failed or cancelled) with the same
-        :class:`RunEvent` the ``progress`` callback receives.  The two
-        exist separately so UI progress and durability hooks (the
-        service persists each result the moment it lands) can coexist.
+        (simulated, cache-served, failed or cancelled) with a
+        :class:`RunEvent` — the hook for console progress and for
+        durability (the service persists each result the moment it
+        lands).
         """
         t_batch = time.perf_counter()
-        progress = progress if progress is not None else self.progress
         if self.max_cycles is not None:
             specs = [replace(s, max_cycles=self.max_cycles) for s in specs]
         if self.metrics or self.trace_dir is not None:
@@ -614,13 +592,10 @@ class Engine:
                  elapsed: float) -> None:
             nonlocal done
             done += 1
-            if progress is not None or on_complete is not None:
-                ev = RunEvent(index=done, total=total, spec=unique[d],
-                              result=res, cached=cached, elapsed=elapsed)
-                if progress is not None:
-                    progress(ev)
-                if on_complete is not None:
-                    on_complete(ev)
+            if on_complete is not None:
+                on_complete(RunEvent(index=done, total=total, spec=unique[d],
+                                     result=res, cached=cached,
+                                     elapsed=elapsed))
 
         todo: list[str] = []
         for d, spec in unique.items():
@@ -714,35 +689,26 @@ class Engine:
                 res, elapsed = _execute_timed(
                     spec, attempts, self.faults, self.sanitize,
                     hard_faults=False)
-            except Exception as exc:
+            except Exception as caught:
+                exc = caught
                 elapsed = time.perf_counter() - t0
-                category = categorize(exc)
-                if (policy.retryable(category)
-                        and attempts < policy.max_attempts):
-                    self.stats.retries += 1
-                    time.sleep(policy.delay(attempts))
-                    continue
-                if self.fail_fast:
-                    raise
-                fail(d, RunFailure.from_exception(
-                    spec, d, exc, attempts=attempts, elapsed=elapsed))
-                return
-            if self.timeout is not None and elapsed > self.timeout:
+            else:
+                if self.timeout is None or elapsed <= self.timeout:
+                    record(d, res, elapsed)
+                    return
                 self.stats.timeouts += 1
                 exc = RunTimeoutError(
                     f"run exceeded {self.timeout:.3g}s budget "
                     f"({elapsed:.3g}s elapsed)")
-                if (policy.retryable("timeout")
-                        and attempts < policy.max_attempts):
-                    self.stats.retries += 1
-                    time.sleep(policy.delay(attempts))
-                    continue
-                if self.fail_fast:
-                    raise exc
-                fail(d, RunFailure.from_exception(
-                    spec, d, exc, attempts=attempts, elapsed=elapsed))
-                return
-            record(d, res, elapsed)
+            if (policy.retryable(categorize(exc))
+                    and attempts < policy.max_attempts):
+                self.stats.retries += 1
+                time.sleep(policy.delay(attempts))
+                continue
+            if self.fail_fast:
+                raise exc
+            fail(d, RunFailure.from_exception(
+                spec, d, exc, attempts=attempts, elapsed=elapsed))
             return
 
     # ------------------------------------------------------------------
@@ -921,24 +887,13 @@ class Engine:
             pool.shutdown(wait=not inflight, cancel_futures=True)
 
 
-_DEFAULT_ENGINE: Engine | None = None
-
-
-def default_engine() -> Engine:
-    """Process-wide engine used when a caller doesn't supply one."""
-    global _DEFAULT_ENGINE
-    if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = Engine()
-    return _DEFAULT_ENGINE
-
-
 def engine_arg_parser() -> argparse.ArgumentParser:
     """Argparse parent with the engine flags every simulating verb shares
     (``repro run``, ``repro serve``, ``python -m repro.harness``)."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--jobs", type=int, default=None,
-                   help="simulation worker processes (default: "
-                        "$REPRO_JOBS or CPU count; 1 = in-process)")
+                   help="simulation worker processes (default: CPU "
+                        "count; 1 = in-process)")
     p.add_argument("--cache-dir", default=None,
                    help="result-cache directory (default: $REPRO_CACHE_DIR "
                         "or ~/.cache/repro)")

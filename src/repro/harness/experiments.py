@@ -10,9 +10,9 @@ decision matches the full Table I machine; pass
 ``config=GPUConfig()`` for the full-size run.
 
 Simulation-backed experiments build :class:`RunSpec` batches and submit
-them to an :class:`Engine` (``engine=`` kwarg, default the process-wide
-engine), so runs dedupe, parallelise (``--jobs``/``REPRO_JOBS``) and hit
-the content-addressed result cache across figures — the ``Unshared-LRR``
+them to an :class:`Engine` (``engine=`` kwarg, default a fresh
+``Engine()``), so runs dedupe, parallelise (``--jobs``) and hit the
+content-addressed result cache across figures — the ``Unshared-LRR``
 baseline is simulated once no matter how many artifacts reference it.
 """
 
@@ -25,7 +25,7 @@ from repro.config import GPUConfig
 from repro.core.occupancy import occupancy
 from repro.core.overhead import overhead_summary
 from repro.core.sharing import SharedResource, SharingSpec, plan_sharing
-from repro.harness.engine import Engine, RunSpec, default_engine
+from repro.harness.engine import Engine, RunSpec
 from repro.harness.runner import Mode, improvement, shared, unshared
 from repro.sim.stats import RunResult
 from repro.workloads.apps import APPS
@@ -74,7 +74,8 @@ def _cfg(config: GPUConfig | None) -> GPUConfig:
 
 
 def _engine(engine: Engine | None) -> Engine:
-    return engine if engine is not None else default_engine()
+    # Fresh per call, so the cache follows the current REPRO_CACHE_DIR.
+    return engine if engine is not None else Engine()
 
 
 def _grid_runs(names: Sequence[str], modes: Sequence[Mode],
@@ -208,20 +209,24 @@ def fig8b(config: GPUConfig | None = None, scale: float = 1.0,
 def _improvement_rows(names: tuple[str, ...], base_mode: Mode,
                       new_mode: Mode, cfg: GPUConfig, scale: float,
                       waves: float, engine: Engine,
-                      paper_key: str = "fig8_impr") -> list[dict]:
+                      paper_key: str | None = "fig8_impr") -> list[dict]:
+    """IPC of ``new_mode`` against ``base_mode``; ``paper_key=None``
+    leaves out the ``paper_pct`` column."""
     runs = _grid_runs(names, [base_mode, new_mode], cfg, scale, waves,
                       engine)
     rows = []
     for name in names:
         base = runs[name, base_mode.label]
         new = runs[name, new_mode.label]
-        rows.append({
+        row = {
             "app": name,
             "ipc_base": _ipc_cell(base),
             "ipc_shared": _ipc_cell(new),
             "improvement_pct": _impr_cell(base, new),
-            "paper_pct": APPS[name].paper.get(paper_key),
-        })
+        }
+        if paper_key is not None:
+            row["paper_pct"] = APPS[name].paper.get(paper_key)
+        rows.append(row)
     return rows
 
 
@@ -394,25 +399,6 @@ def fig9d(config: GPUConfig | None = None, scale: float = 1.0,
 # Fig. 10 — against stronger baselines (GTO, two-level)
 # ----------------------------------------------------------------------
 
-def _vs_baseline(names: tuple[str, ...], base_sched: str, new_mode: Mode,
-                 cfg: GPUConfig, scale: float, waves: float,
-                 engine: Engine) -> list[dict]:
-    base_mode = unshared(base_sched)
-    runs = _grid_runs(names, [base_mode, new_mode], cfg, scale, waves,
-                      engine)
-    rows = []
-    for name in names:
-        base = runs[name, base_mode.label]
-        new = runs[name, new_mode.label]
-        rows.append({
-            "app": name,
-            "ipc_base": _ipc_cell(base),
-            "ipc_shared": _ipc_cell(new),
-            "improvement_pct": _impr_cell(base, new),
-        })
-    return rows
-
-
 @_experiment
 def fig10a(config: GPUConfig | None = None, scale: float = 1.0,
            waves: float = 3.0,
@@ -422,8 +408,8 @@ def fig10a(config: GPUConfig | None = None, scale: float = 1.0,
     return ExperimentResult(
         "fig10a", "Fig 10(a): scratchpad sharing vs Unshared-GTO",
         ["app", "ipc_base", "ipc_shared", "improvement_pct"],
-        _vs_baseline(SET2, "gto", shared(SPAD, "owf"), cfg, scale, waves,
-                     _engine(engine)))
+        _improvement_rows(SET2, unshared("gto"), shared(SPAD, "owf"), cfg,
+                          scale, waves, _engine(engine), paper_key=None))
 
 
 @_experiment
@@ -435,8 +421,9 @@ def fig10b(config: GPUConfig | None = None, scale: float = 1.0,
     return ExperimentResult(
         "fig10b", "Fig 10(b): register sharing vs Unshared-GTO",
         ["app", "ipc_base", "ipc_shared", "improvement_pct"],
-        _vs_baseline(SET1, "gto", shared(REG, "owf", unroll=True, dyn=True),
-                     cfg, scale, waves, _engine(engine)))
+        _improvement_rows(SET1, unshared("gto"),
+                          shared(REG, "owf", unroll=True, dyn=True),
+                          cfg, scale, waves, _engine(engine), paper_key=None))
 
 
 @_experiment
@@ -448,9 +435,9 @@ def fig10c(config: GPUConfig | None = None, scale: float = 1.0,
     return ExperimentResult(
         "fig10c", "Fig 10(c): register sharing vs Unshared-2LV",
         ["app", "ipc_base", "ipc_shared", "improvement_pct"],
-        _vs_baseline(SET1, "two_level",
-                     shared(REG, "owf", unroll=True, dyn=True),
-                     cfg, scale, waves, _engine(engine)))
+        _improvement_rows(SET1, unshared("two_level"),
+                          shared(REG, "owf", unroll=True, dyn=True),
+                          cfg, scale, waves, _engine(engine), paper_key=None))
 
 
 @_experiment
@@ -462,8 +449,8 @@ def fig10d(config: GPUConfig | None = None, scale: float = 1.0,
     return ExperimentResult(
         "fig10d", "Fig 10(d): scratchpad sharing vs Unshared-2LV",
         ["app", "ipc_base", "ipc_shared", "improvement_pct"],
-        _vs_baseline(SET2, "two_level", shared(SPAD, "owf"), cfg, scale,
-                     waves, _engine(engine)))
+        _improvement_rows(SET2, unshared("two_level"), shared(SPAD, "owf"),
+                          cfg, scale, waves, _engine(engine), paper_key=None))
 
 
 # ----------------------------------------------------------------------
@@ -598,26 +585,21 @@ def fig12b(config: GPUConfig | None = None, scale: float = 1.0,
 
 def _sweep(names: tuple[str, ...], resource: SharedResource,
            scheduler: str, unroll: bool, dyn: bool, cfg: GPUConfig,
-           scale: float, waves: float, engine: Engine
-           ) -> tuple[list[dict], list[dict]]:
+           scale: float, waves: float, engine: Engine) -> list[dict]:
+    """IPC per app at each sharing percentage of :data:`SHARING_PCTS`."""
     modes = [shared(resource, scheduler, t=_pct_t(pct), unroll=unroll,
                     dyn=dyn) for pct in SHARING_PCTS]
     specs = [RunSpec.create(APPS[name], mode, config=cfg, scale=scale,
                             waves=waves)
              for name in names for mode in modes]
     results = iter(engine.run_batch(specs))
-    ipc_rows, blk_rows = [], []
+    rows = []
     for name in names:
-        ipc_row: dict = {"app": name}
-        blk_row: dict = {"app": name}
+        row: dict = {"app": name}
         for pct in SHARING_PCTS:
-            r = next(results)
-            ipc_row[f"{pct}%"] = _ipc_cell(r)
-            blk_row[f"{pct}%"] = (r.blocks_total if _ok(r)
-                                  else _fail_cell(r))
-        ipc_rows.append(ipc_row)
-        blk_rows.append(blk_row)
-    return ipc_rows, blk_rows
+            row[f"{pct}%"] = _ipc_cell(next(results))
+        rows.append(row)
+    return rows
 
 
 @_experiment
@@ -626,8 +608,8 @@ def table5(config: GPUConfig | None = None, scale: float = 1.0,
            engine: Engine | None = None) -> ExperimentResult:
     """Table V: IPC vs register-sharing percentage."""
     cfg = _cfg(config)
-    ipc_rows, _ = _sweep(SET1, REG, "owf", True, True, cfg, scale, waves,
-                         _engine(engine))
+    ipc_rows = _sweep(SET1, REG, "owf", True, True, cfg, scale, waves,
+                      _engine(engine))
     cols = ["app"] + [f"{p}%" for p in SHARING_PCTS]
     return ExperimentResult(
         "table5", "Table V: IPC vs % register sharing", cols, ipc_rows)
@@ -659,8 +641,8 @@ def table7(config: GPUConfig | None = None, scale: float = 1.0,
            engine: Engine | None = None) -> ExperimentResult:
     """Table VII: IPC vs scratchpad-sharing percentage."""
     cfg = _cfg(config)
-    ipc_rows, _ = _sweep(SET2, SPAD, "owf", False, False, cfg, scale,
-                         waves, _engine(engine))
+    ipc_rows = _sweep(SET2, SPAD, "owf", False, False, cfg, scale, waves,
+                      _engine(engine))
     cols = ["app"] + [f"{p}%" for p in SHARING_PCTS]
     return ExperimentResult(
         "table7", "Table VII: IPC vs % scratchpad sharing", cols, ipc_rows)

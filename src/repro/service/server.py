@@ -202,7 +202,7 @@ class ServiceServer:
     def _engine_for(self, sanitize: bool) -> Engine:
         eng = self._engines.get(sanitize)
         if eng is None:
-            eng = Engine(sanitize=sanitize or None, **self.engine_opts)
+            eng = Engine(sanitize=sanitize, **self.engine_opts)
             self._engines[sanitize] = eng
         return eng
 

@@ -5,7 +5,7 @@ verbatim — per-candidate ``issuable`` predicate calls on every scheduler
 pick, ``op_group`` dictionary lookups, full re-coalescing and admission
 scans on every MSHR retry, and O(warps) ``classify``/``has_ready``
 scans.  It exists purely as the differential-testing oracle for the fast
-core (``REPRO_REFERENCE_CORE=1`` or ``GPU(core="reference")``): both
+core (``GPU(core="reference")``): both
 cores must produce bit-identical :class:`RunResult`\\ s on every
 configuration, which ``tests/test_core_equivalence.py`` asserts against
 committed golden fingerprints.

@@ -1,7 +1,7 @@
 """Differential tests: fast core ≡ reference core ≡ committed goldens.
 
 The event-driven fast core (default) and the scan-based reference core
-(``REPRO_REFERENCE_CORE=1``) must produce bit-identical
+(``core="reference"``) must produce bit-identical
 :class:`RunResult`\\ s on every configuration.  ``golden_core.json``
 pins the full :func:`~repro.harness.golden.core_matrix` — small kernels
 × {baseline, register sharing, scratchpad sharing} × {lrr, gto,
@@ -76,16 +76,16 @@ class TestSanitized:
 
 
 class TestCoreSelection:
-    def test_env_var_forces_reference(self, monkeypatch):
+    def test_core_argument_selects_reference(self):
         from repro.sim.gpu import GPU
         from repro.sim.refcore import ReferenceSMCore
-        monkeypatch.setenv("REPRO_REFERENCE_CORE", "1")
         app, mode = next(core_matrix())
         from repro.core.occupancy import occupancy
         kernel = APPS[app].kernel(CORE_APPS[app])
         cfg = core_config()
         blocks = occupancy(kernel, cfg).blocks * cfg.num_sms
-        gpu = GPU(kernel.with_grid(blocks), cfg, scheduler=mode.scheduler)
+        gpu = GPU(kernel.with_grid(blocks), cfg, scheduler=mode.scheduler,
+                  core="reference")
         assert all(isinstance(sm, ReferenceSMCore) for sm in gpu.sms)
 
     def test_invalid_core_rejected(self):

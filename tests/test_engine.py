@@ -164,12 +164,13 @@ class TestEngine:
 
     def test_progress_events(self, tmp_path):
         events = []
-        eng = Engine(jobs=1, cache_dir=tmp_path, progress=events.append)
-        eng.run_batch([spec(), spec(mode=unshared("gto"))])
+        eng = Engine(jobs=1, cache_dir=tmp_path)
+        eng.run_batch([spec(), spec(mode=unshared("gto"))],
+                      on_complete=events.append)
         assert [e.index for e in events] == [1, 2]
         assert all(e.total == 2 and not e.cached and e.elapsed > 0
                    for e in events)
-        eng.run_one(spec())
+        eng.run_batch([spec()], on_complete=events.append)
         assert events[-1].cached and events[-1].elapsed == 0.0
 
     def test_cached_result_equals_fresh(self, tmp_path):
@@ -191,15 +192,6 @@ class TestEngine:
         par = Engine(jobs=2, cache=False).run_batch(specs)
         assert par == seq
         assert [r.to_dict() for r in par] == [r.to_dict() for r in seq]
-
-    def test_jobs_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert Engine(cache=False).jobs == 3
-        assert Engine(jobs=1, cache=False).jobs == 1
-
-    def test_no_cache_env_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert Engine(cache_dir=tmp_path).cache is None
 
 
 class TestExperimentIntegration:
@@ -226,6 +218,20 @@ class TestExperimentIntegration:
         par = self._fig8c(Engine(jobs=2, cache=False))
         assert par.rows == seq.rows
 
+    def test_experiment_cache_follows_env(self, tmp_path, monkeypatch):
+        # Without engine=, each call caches under the REPRO_CACHE_DIR
+        # of that moment, not the one seen first in the process.
+        def entries(root):
+            return sorted(p.name for p in root.rglob("*.json"))
+
+        first, second = tmp_path / "first", tmp_path / "second"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(first))
+        self._fig8c(None)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(second))
+        self._fig8c(None)
+        assert entries(first)
+        assert entries(second) == entries(first)
+
 
 class TestCancellation:
     def _specs(self, n):
@@ -246,7 +252,7 @@ class TestCancellation:
         eng = Engine(jobs=1, cache=False)
         cancel = threading.Event()
         results = eng.run_batch(self._specs(3), cancel=cancel,
-                                progress=lambda ev: cancel.set())
+                                on_complete=lambda ev: cancel.set())
         from repro.sim.stats import RunResult
         assert isinstance(results[0], RunResult)
         assert [r.category for r in results[1:]] == ["cancelled"] * 2
@@ -297,15 +303,6 @@ class TestOnComplete:
         assert len(events) == 1
         assert eng.stats.deduped == 2
 
-    def test_coexists_with_progress(self):
-        seen = {"progress": [], "complete": []}
-        eng = Engine(jobs=1, cache=False)
-        eng.run_batch([spec()],
-                      progress=seen["progress"].append,
-                      on_complete=seen["complete"].append)
-        assert seen["progress"] == seen["complete"]
-        assert len(seen["progress"]) == 1
-
     def test_fires_for_failures(self):
         from repro.harness.faults import FaultInjector
         s = spec()
@@ -323,8 +320,9 @@ class TestQuarantinePrune:
         cache.path(d).write_text("{definitely not json")
         return d
 
-    def test_prunes_oldest_beyond_file_cap(self, tmp_path):
-        cache = ResultCache(tmp_path, quarantine_max_files=2)
+    def test_prunes_oldest_beyond_file_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ResultCache, "QUARANTINE_MAX_FILES", 2)
+        cache = ResultCache(tmp_path)
         digests = [self._corrupt(cache, spec(max_cycles=1000 + i))
                    for i in range(5)]
         for i, d in enumerate(digests):
@@ -335,8 +333,9 @@ class TestQuarantinePrune:
         left = sorted(p.name for p in cache.quarantine_dir().iterdir())
         assert left == sorted(f"{d}.json" for d in digests[-2:])
 
-    def test_prunes_beyond_byte_cap(self, tmp_path):
-        cache = ResultCache(tmp_path, quarantine_max_bytes=30)
+    def test_prunes_beyond_byte_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ResultCache, "QUARANTINE_MAX_BYTES", 30)
+        cache = ResultCache(tmp_path)
         for i in range(3):
             d = self._corrupt(cache, spec(max_cycles=2000 + i))
             cache.get(d)
@@ -344,8 +343,9 @@ class TestQuarantinePrune:
         assert sum(p.stat().st_size for p in files) <= 30
         assert cache.pruned >= 1
 
-    def test_engine_surfaces_pruned_count(self, tmp_path):
-        cache = ResultCache(tmp_path, quarantine_max_files=0)
+    def test_engine_surfaces_pruned_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ResultCache, "QUARANTINE_MAX_FILES", 0)
+        cache = ResultCache(tmp_path)
         s = spec()
         self._corrupt(cache, s)
         eng = Engine(jobs=1, cache=cache)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import GPUConfig
 from repro.core.sharing import SharedResource
+from repro.harness.engine import Engine
 from repro.harness.experiments import (EXPERIMENTS, SHARING_PCTS,
                                        run_experiment)
 from repro.harness.report import format_table, render_experiment
@@ -14,6 +15,8 @@ REG = SharedResource.REGISTERS
 SPAD = SharedResource.SCRATCHPAD
 FAST = dict(config=GPUConfig().scaled(num_clusters=2), scale=0.25,
             waves=1.5)
+TINY = dict(config=GPUConfig().scaled(num_clusters=1), scale=0.1,
+            waves=1.0)
 
 
 class TestModeLabels:
@@ -129,12 +132,17 @@ class TestNoSimExperiments:
 
 
 class TestSimExperimentsSmoke:
-    """Tiny-scale smoke of every simulation-backed experiment."""
+    """Tiny-scale smoke of every registered experiment."""
 
-    @pytest.mark.parametrize("exp", ["fig8c", "fig8d", "fig9b", "fig10a",
-                                     "fig12b"])
+    AT_FAST = ("fig8c", "fig8d", "fig9b", "fig10a", "fig12b")
+
+    @pytest.mark.parametrize("exp", sorted(EXPERIMENTS))
     def test_runs_and_has_rows(self, exp):
-        res = run_experiment(exp, **FAST)
+        if exp in self.AT_FAST:
+            res = run_experiment(exp, **FAST)
+        else:
+            res = run_experiment(exp, **TINY,
+                                 engine=Engine(jobs=1, cache=False))
         assert res.rows
         assert res.columns
         for row in res.rows:

@@ -119,9 +119,6 @@ class TestEngineSanitizerPath:
         eng.run_one(s)
         assert eng.stats.hits == 0 and eng.stats.sims == 1
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert Engine(jobs=1, cache=False).sanitize
-        monkeypatch.delenv("REPRO_SANITIZE")
+    def test_env_default(self):
         assert not Engine(jobs=1, cache=False).sanitize
         assert Engine(jobs=1, cache=False, sanitize=True).sanitize
