@@ -30,7 +30,8 @@ from repro.isa import (AsmError, Instr, Kernel, KernelBuilder, MemDesc,
                        MemSpace, Op, Pattern, Segment, assemble,
                        disassemble)
 from repro.analysis import analyze, format_analysis
-from repro.sim import GPU, RunResult, TraceRecorder
+from repro.obs.issues import TraceRecorder
+from repro.sim import GPU, RunResult
 from repro.workloads import APPS, SET1, SET2, SET3, App, build_app
 
 __version__ = "1.0.0"

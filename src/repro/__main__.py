@@ -25,7 +25,7 @@ from repro.analysis import analyze, format_analysis
 from repro.config import GPUConfig
 from repro.core.sharing import SharedResource
 from repro.harness.engine import engine_arg_parser, engine_kwargs
-from repro.harness.runner import shared, unshared
+from repro.harness.runner import run, shared, unshared
 from repro.isa.assembler import assemble, disassemble
 from repro.isa.kernel import Kernel
 from repro.workloads.apps import APPS
@@ -189,28 +189,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.cmd == "trace":
-        from repro.core.occupancy import occupancy as _occ
-        from repro.core.sharing import SharingSpec, plan_sharing
-        from repro.core.unroll import reorder_registers
-        from repro.sim.gpu import GPU
-        from repro.sim.trace import TraceRecorder
-        kernel = _load_kernel(args.kernel)
-        cfg = GPUConfig().scaled(num_clusters=1)
-        mode = _MODES[args.mode]()
-        if mode.unroll:
-            kernel = reorder_registers(kernel)
-        grid = max(2, 2 * _occ(kernel, cfg).blocks)
-        kernel = kernel.with_grid(grid)
-        plan = None
-        if mode.sharing is not None:
-            plan = plan_sharing(kernel, cfg,
-                                SharingSpec(mode.sharing, mode.t))
-        gpu = GPU(kernel, cfg, scheduler=mode.scheduler, plan=plan,
-                  dyn=mode.dyn, early_release=mode.early_release,
-                  mode=mode.label)
-        tr = TraceRecorder(gpu, max_events=200_000)
-        res = tr.run()
-        print(tr.timeline(sm=args.sm, first=args.first))
+        from repro.obs.issues import TraceRecorder
+        rec = TraceRecorder()
+        res = run(_load_kernel(args.kernel), _MODES[args.mode](),
+                  config=GPUConfig().scaled(num_clusters=1), waves=2.0,
+                  obs=rec)
+        print(rec.timeline(sm=args.sm, first=args.first))
         print(f"... {res.instructions} instructions in {res.cycles} "
               f"cycles (IPC {res.ipc:.2f})")
         return 0

@@ -18,11 +18,6 @@ class CacheStats:
     mshr_rejects: int = 0
     evictions: int = 0
 
-    @property
-    def miss_rate(self) -> float:
-        """Misses / accesses (0.0 when the cache was never touched)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class Cache:
     """Tag-only set-associative LRU cache with miss-status registers.

@@ -95,8 +95,6 @@ class MemoryHierarchy:
                 new += 1
         if new > l1.mshr_free:
             l1.stats.mshr_rejects += 1
-            if self._obs_on:
-                self.obs.mshr_reject(sm_id, now)
             return False
         if self._obs_on:
             self.obs.mshr_sample(sm_id, len(mshr) + new, l1.n_mshrs, now)

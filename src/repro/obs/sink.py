@@ -1,20 +1,26 @@
 """Observability sink: the null object and the recording observer.
 
 Every instrumented component (both SM cores, the memory hierarchy, the
-lock groups, the GPU loop) publishes through an :class:`ObsSink`.  The
-base class is a **null object** — every hook is a no-op and
-``enabled`` is False — and :data:`NULL_SINK` is the shared instance
-components default to, so the simulator's hot paths can guard on a
-single pre-resolved boolean (``self._obs_on``) and are untouched when
-observability is off: the golden core suite and the perf-smoke gate pin
-that behaviourally and in wall-clock.
+lock groups, the GPU loop) publishes through an :class:`ObsSink`, and
+every instrument is one: the base class is a **null object** — every
+hook is a no-op and ``enabled`` is False — and :data:`NULL_SINK` is the
+shared instance components default to, so the simulator's hot paths can
+guard on a single pre-resolved boolean (``self._obs_on``) and are
+untouched when observability is off: the golden core suite and the
+perf-smoke gate pin that behaviourally and in wall-clock.
+
+The hooks carry only what the simulator does not already count.  Facts
+it does count (Dyn refusals, MSHR rejects, cache and DRAM counters) are
+read from its own stats in :meth:`ObsSink.finalize`, so an instrument
+reports the same number on both cores by construction.
 
 :class:`Observer` is the live implementation: it bridges the hooks
 into a :class:`~repro.obs.metrics.MetricsRegistry` (named counters /
 gauges / histograms) and/or a :class:`~repro.obs.tracing.Tracer`
 (Chrome trace-event timeline).  Either half can be disabled
 independently — ``--metrics`` without ``--trace`` collects counters
-only, and vice versa.
+only, and vice versa.  :class:`~repro.obs.issues.TraceRecorder` is the
+per-issue recorder behind ``python -m repro trace``.
 """
 
 from __future__ import annotations
@@ -74,11 +80,13 @@ class ObsSink:
     # -- issue / scheduler ----------------------------------------------
     def issued(self, sm_id: int, sched_id: int, warp: "WarpContext",
                cycle: int) -> None:
-        """One instruction issued by scheduler ``sched_id``."""
+        """One instruction issued by scheduler ``sched_id``.
 
-    def dyn_refusal(self, sm_id: int, warp: "WarpContext",
-                    cycle: int) -> None:
-        """The Dyn controller refused a non-owner memory instruction."""
+        Fires before the warp advances (``warp.instr`` is the issued
+        instruction) and before an ``EXIT`` retires the warp and
+        detaches its block's pair (``warp.owf_class()`` is the class at
+        issue).
+        """
 
     # -- locks -----------------------------------------------------------
     def wire_locks(self, sm: "SMCore", pair: "SharePair") -> None:
@@ -95,9 +103,6 @@ class ObsSink:
     def mshr_sample(self, sm_id: int, occupancy: int, capacity: int,
                     cycle: int) -> None:
         """L1 MSHR occupancy sampled at an accepted load."""
-
-    def mshr_reject(self, sm_id: int, cycle: int) -> None:
-        """A warp load bounced off a full L1 MSHR array."""
 
     # -- run lifecycle ----------------------------------------------------
     def finalize(self, gpu: "GPU", cycles: int) -> None:
@@ -160,12 +165,10 @@ class Observer(ObsSink):
 
     enabled = True
 
-    def __init__(self, *, metrics: bool = True, trace: bool = False,
-                 max_events: int = 1_000_000) -> None:
+    def __init__(self, *, metrics: bool = True, trace: bool = False) -> None:
         self.metrics: MetricsRegistry | None = \
             MetricsRegistry() if metrics else None
-        self.tracer: Tracer | None = \
-            Tracer(max_events=max_events) if trace else None
+        self.tracer: Tracer | None = Tracer() if trace else None
         if self.metrics is None and self.tracer is None:
             raise ValueError("Observer with neither metrics nor trace "
                              "would observe nothing")
@@ -214,18 +217,11 @@ class Observer(ObsSink):
             self._open[key] = (STATE_NAMES[new_state], cycle)
 
     # ------------------------------------------------------------------
-    # issue / dyn
+    # issue
     # ------------------------------------------------------------------
     def issued(self, sm_id: int, sched_id: int, warp, cycle: int) -> None:
         key = (sm_id, sched_id)
         self._issue_counts[key] = self._issue_counts.get(key, 0) + 1
-
-    def dyn_refusal(self, sm_id: int, warp, cycle: int) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("dyn_refusals", sm=sm_id).inc()
-        if self.tracer is not None:
-            self.tracer.instant(sm_id, warp.dynamic_id, "dyn-refusal",
-                                "dyn", cycle)
 
     # ------------------------------------------------------------------
     # locks
@@ -291,10 +287,6 @@ class Observer(ObsSink):
             self.tracer.counter(sm_id, f"mshr[SM{sm_id}]", cycle,
                                 {"occupied": occupancy})
 
-    def mshr_reject(self, sm_id: int, cycle: int) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("mshr_rejects", sm=sm_id).inc()
-
     # ------------------------------------------------------------------
     # run lifecycle
     # ------------------------------------------------------------------
@@ -331,8 +323,9 @@ class Observer(ObsSink):
             m.counter("dram_row_hits", partition=p).inc(d.stats.row_hits)
         for sm in gpu.sms:
             st = sm.stats
-            m.counter("dyn_throttle_refusals_total",
-                      sm=sm.sm_id).inc(st.dyn_refusals)
+            m.counter("dyn_refusals", sm=sm.sm_id).inc(st.dyn_refusals)
+            m.counter("mshr_rejects", sm=sm.sm_id).inc(
+                hier.l1[sm.sm_id].stats.mshr_rejects)
             m.counter("lock_wait_events", sm=sm.sm_id).inc(st.lock_waits)
 
     def metrics_dict(self) -> dict | None:

@@ -17,10 +17,10 @@ Conventions used by the simulator's :class:`~repro.obs.sink.Observer`:
   microsecond field — 1 cycle renders as 1 µs, so "1 ms" in the UI
   reads as 1000 cycles.
 
-The tracer caps the event list at ``max_events`` (metadata records are
-exempt) and counts what it dropped; the cap and drop count are surfaced
-in ``otherData`` so a truncated trace is never mistaken for a complete
-one.
+The tracer caps the event list at :attr:`Tracer.MAX_EVENTS` (metadata
+records are exempt) and counts what it dropped; the cap and drop count
+are surfaced in ``otherData`` so a truncated trace is never mistaken for
+a complete one.
 """
 
 from __future__ import annotations
@@ -38,12 +38,14 @@ _AUX_TID_BASE = 1_000_000
 class Tracer:
     """Event accumulator + Chrome trace-event JSON / JSONL exporter."""
 
-    def __init__(self, *, max_events: int = 1_000_000) -> None:
+    #: Events kept; later ones are counted in :attr:`dropped`.
+    MAX_EVENTS = 1_000_000
+
+    def __init__(self) -> None:
         self.events: list[dict] = []
         #: Metadata (process_name / thread_name) records, kept apart so
         #: the event cap can never drop track naming.
         self.meta: list[dict] = []
-        self.max_events = max_events
         self.dropped = 0
         self._tracks: dict[tuple[int, str], int] = {}
         self._named_pids: set[int] = set()
@@ -78,7 +80,7 @@ class Tracer:
     # event emission
     # ------------------------------------------------------------------
     def _emit(self, ev: dict) -> None:
-        if len(self.events) >= self.max_events:
+        if len(self.events) >= self.MAX_EVENTS:
             self.dropped += 1
             return
         self.events.append(ev)
@@ -127,7 +129,7 @@ class Tracer:
         """The standard JSON-object trace container."""
         data = {"truncated": self.dropped > 0,
                 "eventsDropped": self.dropped,
-                "maxEvents": self.max_events,
+                "maxEvents": self.MAX_EVENTS,
                 "clockDomain": "simulation cycles (1 cycle = 1us)"}
         if other:
             data.update(other)

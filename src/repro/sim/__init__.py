@@ -11,7 +11,6 @@ from repro.sim.block import BlockContext, SharePair
 from repro.sim.dispatcher import Dispatcher
 from repro.sim.sm import SMCore
 from repro.sim.gpu import GPU, SimulationLimitExceeded
-from repro.sim.trace import TraceRecorder, TraceEvent
 
 __all__ = [
     "SMStats",
@@ -24,6 +23,4 @@ __all__ = [
     "SMCore",
     "GPU",
     "SimulationLimitExceeded",
-    "TraceRecorder",
-    "TraceEvent",
 ]

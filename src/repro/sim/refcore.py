@@ -24,15 +24,19 @@ from bisect import bisect_left, bisect_right
 from typing import Callable, Iterator, Optional
 
 from repro.core.sharing import SharedResource
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import Op, op_group
 from repro.mem.request import coalesce_lines
 from repro.sched import SchedulerPartition
 from repro.sim.block import BlockContext
-from repro.sim.sm import (_BANK_CONFLICT, _DYN_COOLDOWN, _GROUP, _MSHR_RETRY,
+from repro.sim.sm import (_BANK_CONFLICT, _DYN_COOLDOWN, _MSHR_RETRY,
                           _STALL_STATES, SMCore)
 from repro.sim.warp import REG_PENDING, WarpContext, WarpState
 
 __all__ = ["ReferenceSMCore", "RefPartition", "SortedWarpList", "PICKS"]
+
+#: op → functional group (the fast core reads the precomputed
+#: ``Instr.group`` attribute instead).
+_GROUP: dict[Op, str] = {op: op_group(op) for op in Op}
 
 #: Predicate the SM passes to ``pick``: may this warp issue this cycle
 #: (same-cycle structural constraints such as the single LD/ST port)?
@@ -271,8 +275,6 @@ class ReferenceSMCore(SMCore):
             if (not self.dyn.allow(self.sm_id)
                     and not self._dyn_critical(warp)):
                 stats.dyn_refusals += 1
-                if self._obs_on:
-                    self.obs.dyn_refusal(self.sm_id, warp, cycle)
                 self._set_state(warp, WarpState.BLOCK_DYN)
                 self._dyn_blocked.append(warp)
                 self._timed_wake(warp, cycle + _DYN_COOLDOWN,

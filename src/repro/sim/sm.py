@@ -23,7 +23,7 @@ from repro.core.liverange import SharedLiveness
 from repro.core.sharing import SharedResource
 from repro.events import EventQueue
 from repro.isa.kernel import Kernel
-from repro.isa.opcodes import Op, op_group
+from repro.isa.opcodes import Op
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.request import AddressMap, coalesce_lines
 from repro.obs.sink import NULL_SINK, ObsSink
@@ -47,10 +47,6 @@ _DYN_COOLDOWN = 64
 
 #: Extra cycles per additional scratchpad bank-conflict way.
 _BANK_CONFLICT = 8
-
-#: op → functional group (kept for the reference core / tracers; the
-#: fast core reads the precomputed ``Instr.group`` attribute instead).
-_GROUP: dict[Op, str] = {op: op_group(op) for op in Op}
 
 _STALL_STATES = frozenset({WarpState.BLOCK_SB, WarpState.BLOCK_MEM,
                            WarpState.BLOCK_RETRY})
@@ -413,8 +409,6 @@ class SMCore:
             if (not self.dyn.allow(self.sm_id)
                     and not self._dyn_critical(warp)):
                 stats.dyn_refusals += 1
-                if self._obs_on:
-                    self.obs.dyn_refusal(self.sm_id, warp, cycle)
                 self._set_state(warp, _BLOCK_DYN)
                 self._dyn_blocked.append(warp)
                 self.events.push_wake(cycle + _DYN_COOLDOWN, self, warp)

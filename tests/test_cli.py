@@ -163,15 +163,15 @@ class TestTraceCli:
     def test_trace_early_release_mode(self, capsys, monkeypatch):
         # regression: trace used to drop mode.early_release when building
         # the GPU, silently tracing plain sharing instead
-        import repro.sim.gpu as gpu_mod
+        import repro.harness.runner as runner_mod
         seen = {}
-        real_gpu = gpu_mod.GPU
+        real_gpu = runner_mod.GPU
 
         def spy(*args, **kwargs):
             seen.update(kwargs)
             return real_gpu(*args, **kwargs)
 
-        monkeypatch.setattr(gpu_mod, "GPU", spy)
+        monkeypatch.setattr(runner_mod, "GPU", spy)
         assert repro_main(["trace", "hotspot", "--mode", "shared-reg-er",
                            "--first", "5"]) == 0
         assert seen.get("early_release") is True

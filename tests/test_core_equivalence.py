@@ -18,10 +18,13 @@ import json
 
 import pytest
 
+from repro.config import GPUConfig
+from repro.core.sharing import SharedResource
 from repro.harness.golden import (CORE_APPS, check_core_goldens,
                                   core_config, core_key,
                                   core_matrix, golden_core_path)
-from repro.harness.runner import run
+from repro.harness.runner import run, shared, unshared
+from repro.obs.issues import TraceRecorder
 from repro.workloads.apps import APPS
 
 
@@ -73,6 +76,33 @@ class TestSanitized:
             assert res.to_dict() == want[core_key(app, mode)], \
                 f"{core} core diverged under sanitizer on " \
                 f"{core_key(app, mode)}"
+
+
+class TestIssueStream:
+    """Per-issue differential check: both cores issue the same
+    instruction from the same warp at the same cycle, every time — a
+    finer check than the goldens' end-of-run fingerprint."""
+
+    _CELLS = [
+        ("hotspot", shared(SharedResource.REGISTERS, "owf", unroll=True,
+                           dyn=True)),
+        ("hotspot", shared(SharedResource.REGISTERS, "owf", unroll=True,
+                           early_release=True)),
+        ("lavaMD", shared(SharedResource.SCRATCHPAD, "owf")),
+        ("BFS", unshared("two_level")),
+    ]
+
+    @pytest.mark.parametrize("app,mode", _CELLS,
+                             ids=[f"{a}-{m.label}" for a, m in _CELLS])
+    def test_issue_streams_equal(self, app, mode):
+        streams = []
+        for core in ("fast", "reference"):
+            rec = TraceRecorder()
+            run(APPS[app], mode, config=GPUConfig().scaled(num_clusters=1),
+                scale=0.2, waves=1.0, core=core, obs=rec)
+            assert rec.events and not rec.truncated
+            streams.append(rec.events)
+        assert streams[0] == streams[1]
 
 
 class TestCoreSelection:

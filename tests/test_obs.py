@@ -129,16 +129,18 @@ class TestTracer:
         assert b["id"] == e["id"] == 7
         assert b["ts"] == 100 and e["ts"] == 140
 
-    def test_meta_idempotent_and_uncapped(self):
-        t = Tracer(max_events=1)
+    def test_meta_idempotent_and_uncapped(self, monkeypatch):
+        monkeypatch.setattr(Tracer, "MAX_EVENTS", 1)
+        t = Tracer()
         t.process_name(0, "SM0")
         t.process_name(0, "SM0")
         t.thread_name(0, 3, "W3")
         assert len(t.meta) == 2  # one process_name + one thread_name
         assert t.dropped == 0
 
-    def test_event_cap(self):
-        t = Tracer(max_events=2)
+    def test_event_cap(self, monkeypatch):
+        monkeypatch.setattr(Tracer, "MAX_EVENTS", 2)
+        t = Tracer()
         for i in range(5):
             t.instant(0, 0, f"e{i}", "dyn", i)
         assert len(t.events) == 2 and t.dropped == 3
@@ -191,7 +193,6 @@ class TestNullSink:
         done = lambda c: None  # noqa: E731
         assert s.mem_request(0, 2, 5, done) is done
         assert s.metrics_dict() is None
-        s.mshr_reject(0, 1)
         s.finalize(None, 10)
 
     def test_observer_needs_a_backend(self):
@@ -219,11 +220,21 @@ class TestObserverIntegration:
         assert d.pop("metrics") is not None
         assert d == plain.to_dict()
 
-    def test_reference_core_identical_under_observation(self):
-        obs = Observer(metrics=True, trace=True)
-        ref = run(APPS["MUM"], REG_MODE, core="reference", obs=obs, **FAST)
-        assert ref.to_dict() == run(APPS["MUM"], REG_MODE, obs=Observer(
-            metrics=True, trace=True), **FAST).to_dict()
+    # BFS fills its MSHRs, so it covers the fast core's O(1) replay of
+    # an MSHR reject; MUM never does.
+    @pytest.mark.parametrize("app", ["MUM", "BFS"])
+    def test_reference_core_identical_under_observation(self, app):
+        ref = run(APPS[app], REG_MODE, core="reference", obs=Observer(
+            metrics=True, trace=True), **FAST)
+        fast = run(APPS[app], REG_MODE, obs=Observer(
+            metrics=True, trace=True), **FAST)
+        assert ref.to_dict() == fast.to_dict()
+        if app == "BFS":
+            c = fast.metrics["counters"]
+            per_sm = sum(v for k, v in c.items()
+                         if k.startswith("mshr_rejects{sm="))
+            assert per_sm > 0
+            assert per_sm == c["cache_probes{level=l1,outcome=mshr_rejects}"]
 
     def test_metrics_on_result(self, reg_traced):
         _, res = reg_traced
